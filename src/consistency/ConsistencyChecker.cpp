@@ -12,7 +12,20 @@
 #include "consistency/SerializabilityChecker.h"
 #include "consistency/SnapshotIsolationChecker.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 using namespace txdpor;
+
+void txdpor::requireSearchableSize(const History &H, const char *Checker) {
+  if (H.numTxns() <= MaxSearchTxns)
+    return;
+  std::fprintf(stderr,
+               "txdpor: the %s checker decides histories of at most %u "
+               "transactions (initial transaction included), got %u\n",
+               Checker, MaxSearchTxns, H.numTxns());
+  std::abort();
+}
 
 const char *txdpor::isolationLevelName(IsolationLevel Level) {
   switch (Level) {

@@ -48,6 +48,16 @@ public:
   virtual bool isConsistent(const History &H) const = 0;
 };
 
+/// The SER and SI searches pack transaction sets into 64-bit masks, so
+/// they decide histories of at most this many transactions (the initial
+/// transaction included).
+constexpr unsigned MaxSearchTxns = 64;
+
+/// Aborts with a diagnostic naming \p Checker when \p H holds more than
+/// MaxSearchTxns transactions. Checked in every build type: past the
+/// limit the masks would alias and the verdicts would be silently wrong.
+void requireSearchableSize(const History &H, const char *Checker);
+
 /// Returns the production checker for \p Level (a shared singleton).
 const ConsistencyChecker &checkerFor(IsolationLevel Level);
 

@@ -20,7 +20,7 @@ namespace {
 class SerSearch {
 public:
   explicit SerSearch(const History &H) : H(H), N(H.numTxns()) {
-    assert(N <= 64 && "histories beyond 64 transactions are out of scope");
+    requireSearchableSize(H, "SER");
 
     // so ∪ wr predecessor masks.
     Relation SoWr = H.soWrRelation();

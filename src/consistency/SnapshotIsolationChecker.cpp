@@ -19,7 +19,7 @@ namespace {
 class SiSearch {
 public:
   explicit SiSearch(const History &H) : H(H), N(H.numTxns()) {
-    assert(N <= 64 && "histories beyond 64 transactions are out of scope");
+    requireSearchableSize(H, "SI");
 
     // so predecessors: S(t) requires their commits.
     SoPredMask.assign(N, 0);

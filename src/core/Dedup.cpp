@@ -143,15 +143,8 @@ Fingerprint txdpor::historyFingerprint(const History &H) {
 // DedupTable
 //===----------------------------------------------------------------------===//
 
-DedupTable::DedupTable(const Program &Prog, const LevelAssignment &Levels,
-                       DedupMode Mode, uint64_t MaxEntries)
-    : Mode(Mode), NumSessions(Prog.numSessions()),
-      MaxPerShard(MaxEntries == 0
-                      ? 0
-                      : std::max<uint64_t>(
-                            1, (MaxEntries + NumShards - 1) / NumShards)) {
-  assert(Mode != DedupMode::Off && "a table for a disabled mode");
-
+DedupTable::DedupTable(const Program &Prog, const LevelAssignment &Levels)
+    : NumSessions(Prog.numSessions()) {
   // Partition sessions into structural classes: same base level, same
   // transaction count, structurally equal bodies. Class ids ascend with
   // first occurrence, so the layout is a pure function of the program —
@@ -175,7 +168,6 @@ DedupTable::DedupTable(const Program &Prog, const LevelAssignment &Levels,
   // from different semantics can never alias (tables are per-run anyway;
   // this is defense in depth for serialized fingerprints in dumps).
   Mix128 M(0x6a09e667f3bcc908ULL, 0xbb67ae8584caa73bULL);
-  M.add(static_cast<uint64_t>(Mode));
   M.add(NumSessions);
   for (uint32_t S = 0; S != NumSessions; ++S) {
     M.add(static_cast<uint64_t>(Levels.levelFor(S)));
@@ -386,15 +378,13 @@ Fingerprint DedupTable::itemFingerprint(const History &H,
     Fp.ReadPairs.clear();
     for (unsigned I = 0; I != N; ++I) {
       refreshBlock(Fp, H, I);
-      if (Mode == DedupMode::Symmetry) {
-        const TransactionLog &Log = H.txn(I);
-        if (!Log.uid().isInit())
-          for (uint32_t P = 0, Sz = static_cast<uint32_t>(Log.size());
-               P != Sz; ++P)
-            if (std::optional<TxnUid> W = Log.writerOf(P))
-              if (!W->isInit())
-                Fp.ReadPairs.emplace_back(Log.uid().Session, W->Session);
-      }
+      const TransactionLog &Log = H.txn(I);
+      if (!Log.uid().isInit())
+        for (uint32_t P = 0, Sz = static_cast<uint32_t>(Log.size()); P != Sz;
+             ++P)
+          if (std::optional<TxnUid> W = Log.writerOf(P))
+            if (!W->isInit())
+              Fp.ReadPairs.emplace_back(Log.uid().Session, W->Session);
     }
     Fp.CursorEnts.clear();
     Fp.CursorEnts.reserve(Cursors.size());
@@ -412,17 +402,17 @@ Fingerprint DedupTable::itemFingerprint(const History &H,
       syncCursors(Fp, Cursors);
   }
 
-  // Canonical session permutation. Exact mode keeps the identity; in
-  // Symmetry mode sessions are renamed to their rank under a sort by
-  // (structural class, refined color, original id). The class blocks of
-  // the sort are a pure function of the program, so the composed
-  // difference between any two items' permutations stays *within*
-  // classes — fingerprint equality therefore certifies equality modulo a
-  // structural-class renaming, never across classes. ChangedMask collects
-  // the sessions whose rank moved since the carried state's last probe:
-  // only blocks touching those sessions need their π digests redone.
+  // Canonical session permutation: sessions are renamed to their rank
+  // under a sort by (structural class, refined color, original id). The
+  // class blocks of the sort are a pure function of the program, so the
+  // composed difference between any two items' permutations stays
+  // *within* classes — fingerprint equality therefore certifies equality
+  // modulo a structural-class renaming, never across classes. ChangedMask
+  // collects the sessions whose rank moved since the carried state's last
+  // probe: only blocks touching those sessions need their π digests
+  // redone.
   uint64_t ChangedMask = ~0ull;
-  if (Mode == DedupMode::Symmetry && NumSessions > 1) {
+  if (NumSessions > 1) {
     // Round 0 colors: the class plus the renaming-invariant digests of
     // the session's blocks and cursors, summed commutatively so the
     // per-block and per-cursor layers above are reusable as-is. The
@@ -482,8 +472,8 @@ Fingerprint DedupTable::itemFingerprint(const History &H,
     }
     Fp.Pi.assign(NewPi, NewPi + NumSessions);
   } else {
-    // Identity renaming (Exact mode or a single session): π never moves,
-    // so only dirty blocks need their digests redone.
+    // A single session renames to itself: π never moves, so only dirty
+    // blocks need their digests redone.
     ChangedMask = 0;
     Fp.Pi.clear();
   }
@@ -522,54 +512,5 @@ Fingerprint DedupTable::itemFingerprint(const History &H,
 bool DedupTable::insertIfNew(const Fingerprint &F) const {
   const Shard &Sh = Shards[F.Hi & (NumShards - 1)];
   std::lock_guard<std::mutex> Guard(Sh.M);
-  if (!MaxPerShard)
-    return Sh.Set.insert(F).second;
-  auto It = Sh.Map.find(F);
-  if (It != Sh.Map.end()) {
-    // Probe hit: re-arm the CLOCK reference bit so hot subtrees survive
-    // the next sweep.
-    Sh.Ref[It->second] = 1;
-    return false;
-  }
-  if (Sh.Slots.size() < MaxPerShard) {
-    uint32_t Slot = static_cast<uint32_t>(Sh.Slots.size());
-    Sh.Slots.push_back(F);
-    Sh.Ref.push_back(1);
-    Sh.Map.emplace(F, Slot);
-    return true;
-  }
-  // Full shard: sweep the hand, clearing reference bits, until a cold
-  // victim turns up (at worst one full revolution). Evicting only ever
-  // costs re-exploration of the victim's subtree — an absent fingerprint
-  // can never cause a wrong skip.
-  while (Sh.Ref[Sh.Hand]) {
-    Sh.Ref[Sh.Hand] = 0;
-    Sh.Hand = (Sh.Hand + 1) % static_cast<uint32_t>(Sh.Slots.size());
-  }
-  uint32_t Victim = Sh.Hand;
-  Sh.Hand = (Sh.Hand + 1) % static_cast<uint32_t>(Sh.Slots.size());
-  Sh.Map.erase(Sh.Slots[Victim]);
-  Sh.Slots[Victim] = F;
-  Sh.Ref[Victim] = 1;
-  Sh.Map.emplace(F, Victim);
-  ++Sh.Evictions;
-  return true;
-}
-
-uint64_t DedupTable::size() const {
-  uint64_t Total = 0;
-  for (const Shard &Sh : Shards) {
-    std::lock_guard<std::mutex> Guard(Sh.M);
-    Total += MaxPerShard ? Sh.Map.size() : Sh.Set.size();
-  }
-  return Total;
-}
-
-uint64_t DedupTable::evictions() const {
-  uint64_t Total = 0;
-  for (const Shard &Sh : Shards) {
-    std::lock_guard<std::mutex> Guard(Sh.M);
-    Total += Sh.Evictions;
-  }
-  return Total;
+  return Sh.Set.insert(F).second;
 }

@@ -14,30 +14,27 @@
 /// exploration tree, where the symmetry worth exploiting is *session
 /// renaming* in programs with structurally identical sessions.
 ///
-/// Two fingerprinting modes (DedupMode, core/ExplorerConfig.h):
+/// The fingerprint renames session ids to a canonical permutation first
+/// (DedupMode::Symmetry, core/ExplorerConfig.h). Sessions are partitioned
+/// once per table into *structural classes* (same transaction bodies, same
+/// count, same base level); within each class a canonical order is chosen
+/// per item by a two-round color refinement over per-session
+/// event-sequence digests. Renaming is sound because a structural-class
+/// permutation π maps the program to itself: π applied to a reachable item
+/// yields a reachable item whose subtree is the π-image of the original's,
+/// and per-session level verdicts are invariant under within-class
+/// renaming. A wrong (but deterministic) canonical choice can only cost
+/// effectiveness, never soundness of the fingerprint itself — the
+/// fingerprint hashes the *renamed* item exactly.
 ///
-///   * Exact: the fingerprint is an order-sensitive 128-bit hash of the
-///     item as-is. expandItem is a deterministic function of (item,
-///     engine), so two items with equal structure root identical subtrees
-///     and skipping the second preserves the output *set* exactly. This
-///     de-dupes e.g. the duplicate items the §5.3 ablations generate.
-///
-///   * Symmetry: session ids are first renamed to a canonical permutation.
-///     Sessions are partitioned once per table into *structural classes*
-///     (same transaction bodies, same count, same base level); within each
-///     class a canonical order is chosen per item by a two-round color
-///     refinement over per-session event-sequence digests. Renaming is
-///     sound because a structural-class permutation π maps the program to
-///     itself: π applied to a reachable item yields a reachable item whose
-///     subtree is the π-image of the original's, and per-session level
-///     verdicts are invariant under within-class renaming. A wrong (but
-///     deterministic) canonical choice can only cost effectiveness, never
-///     soundness of the fingerprint itself — the fingerprint hashes the
-///     *renamed* item exactly.
+/// Without renaming the table would be pure overhead: strong optimality
+/// (Thm. 5.1) means explore-ce never reaches the same item twice, so only
+/// renamed repeats can ever hit (tests/dedup_test.cpp checks that no
+/// ordered history is visited twice).
 ///
 /// The table is internally synchronized (sharded mutexes) and its probe
 /// entry points are const, so the one engine instance shared by the
-/// recursive, iterative and parallel drivers covers all of them.
+/// sequential and parallel drivers covers both.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,7 +42,6 @@
 #define TXDPOR_CORE_DEDUP_H
 
 #include "consistency/IsolationLevel.h"
-#include "core/ExplorerConfig.h"
 #include "history/History.h"
 #include "program/Program.h"
 #include "semantics/Executor.h"
@@ -53,7 +49,6 @@
 #include <array>
 #include <cstdint>
 #include <mutex>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -95,10 +90,10 @@ Fingerprint historyFingerprint(const History &H);
 /// The engine maintains per item: a new block on begin (noteNewBlock),
 /// a dirty bit per mutated block (markDirty), and the (reader, writer)
 /// session pair of every non-init external read (noteReadPair — the
-/// color-refinement edges of Symmetry mode). Swap children start from a
-/// default-constructed (invalid) value: the next probe falls back to the
-/// full from-scratch walk, which is also the always-correct reference the
-/// engine cross-asserts against in debug builds.
+/// color-refinement edges). Swap children start from a default-constructed
+/// (invalid) value: the next probe falls back to the full from-scratch
+/// walk, which is also the always-correct reference the engine
+/// cross-asserts against in debug builds.
 struct DedupFp {
   /// One renamed-session occurrence inside a block's digest: the block
   /// content chain folds everything π-invariant (event payloads, uid
@@ -155,8 +150,7 @@ struct DedupFp {
   /// diffed against the new permutation to find moved sessions.
   std::vector<uint32_t> Pi;
   /// (reader session, writer session) of every non-init external read, in
-  /// append order (consumed commutatively). Maintained only in Symmetry
-  /// mode.
+  /// append order (consumed commutatively).
   std::vector<std::pair<uint32_t, uint32_t>> ReadPairs;
 
   /// Marks block \p Idx as changed (event appended, writer assigned).
@@ -189,22 +183,16 @@ struct DedupFp {
   }
 };
 
-/// The memoized explored-fingerprint table of one exploration run.
-/// Constructed by the ExplorationEngine when ExplorerConfig::Dedup is not
-/// Off; shared by every driver that run uses.
+/// The memoized explored-fingerprint table of one exploration run: every
+/// fingerprint is kept until the run ends. Constructed by the
+/// ExplorationEngine when ExplorerConfig::Dedup is Symmetry; shared by
+/// every driver that run uses.
 class DedupTable {
 public:
   /// \p Levels must be the engine's *resolved* per-session assignment —
   /// it both salts the fingerprint (so tables are never reused across
-  /// semantics) and separates structural session classes in Symmetry mode.
-  /// \p MaxEntries bounds the memo table: 0 (the default) keeps every
-  /// fingerprint forever; a positive value caps the table at roughly that
-  /// many entries with per-shard CLOCK eviction (an evicted subtree is
-  /// merely re-explored — never wrongly skipped).
-  DedupTable(const Program &Prog, const LevelAssignment &Levels,
-             DedupMode Mode, uint64_t MaxEntries = 0);
-
-  DedupMode mode() const { return Mode; }
+  /// semantics) and separates structural session classes.
+  DedupTable(const Program &Prog, const LevelAssignment &Levels);
 
   /// The canonical fingerprint of one WorkItem (history + cursor
   /// snapshot; Depth is exploration bookkeeping and CState is derived
@@ -220,16 +208,8 @@ public:
                               DedupFp *Carried = nullptr) const;
 
   /// Inserts \p F; returns true iff it was not already present (i.e. the
-  /// subtree rooted at the fingerprinted item is new). In bounded mode a
-  /// full shard evicts its CLOCK victim to make room. Thread-safe.
+  /// subtree rooted at the fingerprinted item is new). Thread-safe.
   bool insertIfNew(const Fingerprint &F) const;
-
-  /// Fingerprints memoized so far (sums the shards; approximate under
-  /// concurrent insertion).
-  uint64_t size() const;
-
-  /// CLOCK victims evicted so far (0 in unbounded mode).
-  uint64_t evictions() const;
 
 private:
   uint32_t classOf(uint32_t Session) const {
@@ -254,25 +234,14 @@ private:
   static constexpr uint32_t InitClass = 0xffffffffu;
   static constexpr unsigned NumShards = 16;
 
-  /// One lock-striped sixteenth of the memo table. Unbounded mode uses
-  /// Set alone; bounded mode uses the Map + Slots/Ref CLOCK ring (a probe
-  /// hit re-arms the entry's reference bit; a full shard sweeps the hand,
-  /// clearing bits, until it finds an unreferenced victim).
+  /// One lock-striped sixteenth of the memo table.
   struct Shard {
     mutable std::mutex M;
     mutable std::unordered_set<Fingerprint, FingerprintHash> Set;
-    mutable std::unordered_map<Fingerprint, uint32_t, FingerprintHash> Map;
-    mutable std::vector<Fingerprint> Slots;
-    mutable std::vector<uint8_t> Ref;
-    mutable uint32_t Hand = 0;
-    mutable uint64_t Evictions = 0;
   };
 
-  DedupMode Mode;
   unsigned NumSessions;
-  uint64_t MaxPerShard = 0; ///< 0 = unbounded.
-  /// Session → structural class id (Symmetry mode; identity classes are
-  /// still computed in Exact mode but unused there).
+  /// Session → structural class id.
   std::vector<uint32_t> ClassOf;
   /// Fold of the program text + resolved levels: items from different
   /// semantics can never alias.

@@ -58,8 +58,7 @@ ExplorationEngine::ExplorationEngine(const Program &Prog,
     Order = OracleOrder::fromSequence(OracleSequence);
   }
   if (this->Config.Dedup != DedupMode::Off)
-    Dedup = std::make_unique<DedupTable>(Prog, BaseLevels, this->Config.Dedup,
-                                         this->Config.DedupMaxEntries);
+    Dedup = std::make_unique<DedupTable>(Prog, BaseLevels);
 }
 
 WorkItem ExplorationEngine::initialItem() const {
@@ -275,8 +274,7 @@ void ExplorationEngine::expandItem(WorkItem Item, std::vector<WorkItem> &Out,
       ConstraintState BranchState = CState;
       BranchState.applyExternalRead(W, Next.Op.Var);
       DedupFp BranchFp = Item.Fp; // Idx is already marked dirty above.
-      if (Dedup && Dedup->mode() == DedupMode::Symmetry &&
-          !H.txn(W).uid().isInit())
+      if (Dedup && !H.txn(W).uid().isInit())
         BranchFp.noteReadPair(Next.Uid.Session, H.txn(W).uid().Session);
       BranchFp.noteCursorDirty(Next.Uid.packed());
       CursorMap BranchCursors = Cursors;

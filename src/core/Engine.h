@@ -26,8 +26,8 @@
 /// MaxEndStates budget) goes through the optional atomics in the sink.
 ///
 /// Drivers:
-///   * Explorer (core/Explorer.h)          — sequential, recursive or
-///     explicit-stack depth-first walk;
+///   * Explorer (core/Explorer.h)          — sequential explicit-stack
+///     depth-first walk (drainDepthFirst);
 ///   * ParallelExplorer (parallel/...)     — breadth-first frontier split
 ///     plus work-stealing depth-first workers.
 ///
@@ -137,9 +137,6 @@ public:
   /// ExplorerConfig::BaseLevels for the resolution order). Not mixed for
   /// classic single-level runs.
   const LevelAssignment &baseLevels() const { return BaseLevels; }
-  /// Memo-table CLOCK evictions so far (0 when dedup is off or the table
-  /// is unbounded); drivers fold this into ExplorerStats at run end.
-  uint64_t dedupEvictions() const { return Dedup ? Dedup->evictions() : 0; }
 
 private:
   /// What Next(P, h, locals) returned (§5.1).
@@ -175,8 +172,8 @@ private:
 
 /// Depth-first drain of the subtree rooted at \p Root: an explicit LIFO
 /// stack popping nodes in exactly the recursive visit order (§7.1). The
-/// walk shared by the sequential iterative driver and the parallel
-/// driver's single-thread fallback.
+/// walk shared by the sequential driver and the parallel driver's
+/// workers and single-thread fallback.
 void drainDepthFirst(const ExplorationEngine &Engine, WorkItem Root,
                      ExplorationSink &S);
 

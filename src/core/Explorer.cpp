@@ -46,10 +46,6 @@ void ExplorerStats::merge(const ExplorerStats &Other) {
   FrontierItems += Other.FrontierItems;
   DedupChecks += Other.DedupChecks;
   DedupSkips += Other.DedupSkips;
-  // Table-level totals, sampled once at run end by the owning driver and
-  // never per worker — take the max so merging worker stats (all zero)
-  // into the sampled aggregate cannot double-count.
-  DedupEvictions = std::max(DedupEvictions, Other.DedupEvictions);
   DedupFpMismatches += Other.DedupFpMismatches;
   TimedOut = TimedOut || Other.TimedOut;
   HitEndStateCap = HitEndStateCap || Other.HitEndStateCap;
@@ -68,14 +64,12 @@ ExplorerStats Explorer::run(const HistoryVisitor &VisitFn) {
   S.TimeBudget = Config.TimeBudget;
   Stopwatch Timer;
 
-  if (Config.Iterative)
-    exploreIterative(Engine.initialItem(), S);
-  else
-    exploreRecursive(Engine.initialItem(), S);
+  // The worklist walk of §7.1: items pop depth-first in exactly the order
+  // a recursive explore() would visit them.
+  drainDepthFirst(Engine, Engine.initialItem(), S);
 
   S.Stats.ElapsedMillis = Timer.elapsedMillis();
   S.Stats.PeakRssKb = peakRssKb();
-  S.Stats.DedupEvictions = Engine.dedupEvictions();
   return S.Stats;
 }
 
@@ -84,24 +78,4 @@ ExplorerStats txdpor::exploreProgram(const Program &Prog,
                                      const HistoryVisitor &Visit) {
   Explorer E(Prog, std::move(Config));
   return E.run(Visit);
-}
-
-void Explorer::exploreRecursive(WorkItem Item, ExplorationSink &S) {
-  std::vector<WorkItem> Children;
-  Engine.expandItem(std::move(Item), Children, S);
-  for (WorkItem &Child : Children) {
-    // Mirror drainDepthFirst: once stopped, expand nothing further, so
-    // both walks report identical statistics even for truncated runs.
-    if (Engine.shouldStop(S))
-      return;
-    exploreRecursive(std::move(Child), S);
-  }
-}
-
-// The iterative implementation (§7.1) is the shared drainDepthFirst walk:
-// a depth-first worklist whose items pop in exactly the order the
-// recursive implementation visits them — outputs and aggregate statistics
-// coincide (asserted by the test suite).
-void Explorer::exploreIterative(WorkItem Root, ExplorationSink &S) {
-  drainDepthFirst(Engine, std::move(Root), S);
 }

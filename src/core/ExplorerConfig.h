@@ -33,20 +33,19 @@
 
 namespace txdpor {
 
-/// Subtree-deduplication mode (core/Dedup.h). Off by default so uniform
-/// runs stay byte-identical to pre-dedup builds.
+/// Subtree-deduplication mode (core/Dedup.h). Off by default so runs stay
+/// byte-identical to pre-dedup builds.
 ///
 ///   * Off      — every subtree is expanded (the historical behaviour);
-///   * Exact    — memoize a fingerprint of each expanded WorkItem and skip
-///     items whose fingerprint was already expanded. expandItem is a
-///     deterministic function of the item, so identical items root
-///     identical subtrees and skipping repeats preserves the output *set*
-///     exactly (multiplicities may drop where the §5.3 ablations generate
-///     duplicates);
-///   * Symmetry — additionally canonicalize session ids modulo renaming
-///     within structural session classes before fingerprinting, so
+///   * Symmetry — canonicalize session ids modulo renaming within
+///     structural session classes, memoize a fingerprint of each expanded
+///     WorkItem and skip items whose fingerprint was already expanded, so
 ///     isomorphic subtrees of symmetric programs are explored once.
-enum class DedupMode : uint8_t { Off, Exact, Symmetry };
+///     expandItem is a deterministic function of the item, so skipping a
+///     renamed repeat preserves every verdict. There is no renaming-free
+///     mode: strong optimality (Thm. 5.1) means an un-renamed item never
+///     recurs, so its table could never skip anything.
+enum class DedupMode : uint8_t { Off, Symmetry };
 
 /// Options of one exploration run.
 struct ExplorerConfig {
@@ -93,14 +92,6 @@ struct ExplorerConfig {
   /// by the test suite to assert the Appendix E invariants dynamically.
   std::function<void(const History &)> OnExplore;
 
-  /// Use the iterative worklist implementation instead of recursion. The
-  /// paper's JPF tool does the same "for performance reasons ... inputs
-  /// to recursive calls are maintained as a collection of histories
-  /// instead of relying on the call stack" (§7.1). Outputs and statistics
-  /// are identical to the recursive implementation (asserted by the test
-  /// suite); only the C++ stack usage differs.
-  bool Iterative = false;
-
   /// Worker threads of the parallel driver (parallel/ParallelExplorer.h).
   /// 0 or 1 means sequential; the sequential Explorer ignores this. The
   /// output history set is identical for every value (the exploration tree
@@ -128,18 +119,11 @@ struct ExplorerConfig {
   /// is scheduler-independent), only the exploration order changes.
   std::vector<TxnUid> OracleOrderOverride;
 
-  /// Subtree dedup: skip WorkItems whose (optionally session-canonicalized)
+  /// Subtree dedup: skip WorkItems whose session-canonicalized
   /// fingerprint has already been expanded. The engine owns one
-  /// internally-synchronized table per run, shared by all drivers
-  /// (recursive, iterative, parallel). See core/Dedup.h.
+  /// internally-synchronized, unbounded table per run, shared by the
+  /// sequential and parallel drivers. See core/Dedup.h.
   DedupMode Dedup = DedupMode::Off;
-
-  /// Memo-table bound for the dedup table: 0 (the default) memoizes every
-  /// fingerprint forever — byte-identical to pre-bound builds; a positive
-  /// value caps the table at roughly that many entries with per-shard
-  /// CLOCK eviction. Eviction trades skips for memory: an evicted subtree
-  /// is re-explored (and re-skippable later), never wrongly skipped.
-  uint64_t DedupMaxEntries = 0;
 
   /// Release-mode cross-check of the carried fingerprint: re-derive every
   /// probed fingerprint from scratch and count disagreements into
@@ -177,7 +161,7 @@ struct ExplorerConfig {
 /// Counters reported by every exploration (the paper reports time, memory
 /// and end states; the rest diagnoses optimality properties in tests).
 struct ExplorerStats {
-  uint64_t ExploreCalls = 0;   ///< Recursive explore invocations.
+  uint64_t ExploreCalls = 0;   ///< explore invocations (dedup skips included).
   uint64_t EndStates = 0;      ///< Complete executions (before Valid).
   uint64_t Outputs = 0;        ///< Histories passing the Valid filter.
   uint64_t EventsAdded = 0;    ///< Events appended across all branches.
@@ -201,8 +185,6 @@ struct ExplorerStats {
   /// probes performed and subtrees skipped as already explored.
   uint64_t DedupChecks = 0;
   uint64_t DedupSkips = 0;
-  /// CLOCK victims evicted from a bounded dedup table (0 when unbounded).
-  uint64_t DedupEvictions = 0;
   /// Carried-vs-scratch fingerprint disagreements seen under
   /// ExplorerConfig::DedupVerifyCarried (must stay 0; counted rather than
   /// asserted so optimized differential fuzzing can report them).

@@ -440,10 +440,10 @@ void DifferentialOracle::checkMixedSemantics(
     return D;
   };
 
-  ExplorerConfig Recursive = ExplorerConfig::exploreCEMixed(Mix);
+  ExplorerConfig Seq = ExplorerConfig::exploreCEMixed(Mix);
   if (Config.MaxHistoriesPerCase)
-    Recursive.MaxEndStates = Config.MaxHistoriesPerCase + 1;
-  EnumerationResult Ref = enumerateHistories(P, Recursive);
+    Seq.MaxEndStates = Config.MaxHistoriesPerCase + 1;
+  EnumerationResult Ref = enumerateHistories(P, Seq);
   if (Config.MaxHistoriesPerCase &&
       (Ref.Stats.HitEndStateCap ||
        Ref.Histories.size() > Config.MaxHistoriesPerCase))
@@ -456,7 +456,7 @@ void DifferentialOracle::checkMixedSemantics(
       continue;
     Disagreement D = MakeDisagreement(
         Disagreement::Kind::DuplicateOutput,
-        "recursive explorer emitted one history " + std::to_string(N) +
+        "sequential explorer emitted one history " + std::to_string(N) +
             " times under mix(" + Resolved.str() + ")");
     for (const History &H : Ref.Histories)
       if (H.canonicalKey() == Key) {
@@ -467,19 +467,10 @@ void DifferentialOracle::checkMixedSemantics(
     break;
   }
 
-  // Driver diffs under the mixed base: iterative and parallel walks must
-  // reproduce the recursive output multiset (thread-count invariance).
-  ExplorerConfig Iterative = Recursive;
-  Iterative.Iterative = true;
-  auto IterKeys = keyMultiset(enumerateHistories(P, Iterative).Histories);
-  if (IterKeys != RefKeys)
-    Out.push_back(MakeDisagreement(
-        Disagreement::Kind::ExplorerSetMismatch,
-        "iterative vs recursive under mix(" + Resolved.str() +
-            "): " + diffSummary(IterKeys, RefKeys, "iterative", "recursive")));
-
+  // Driver diff under the mixed base: the parallel walk must reproduce
+  // the sequential output multiset (thread-count invariance).
   if (Config.Threads > 1) {
-    ExplorerConfig Par = Recursive;
+    ExplorerConfig Par = Seq;
     Par.Threads = Config.Threads;
     std::vector<History> ParHistories;
     ParallelExplorer E(P, Par);
@@ -489,39 +480,21 @@ void DifferentialOracle::checkMixedSemantics(
       Out.push_back(MakeDisagreement(
           Disagreement::Kind::ExplorerSetMismatch,
           "parallel(" + std::to_string(Config.Threads) +
-              ") vs recursive under mix(" + Resolved.str() +
+              ") vs sequential under mix(" + Resolved.str() +
               "): " + diffSummary(ParKeys, RefKeys, "parallel",
-                                  "recursive")));
+                                  "sequential")));
   }
 
-  // Dedup under the mixed base: exact must reproduce the multiset;
-  // symmetry must stay inside it (sessions at different levels land in
-  // different structural classes, so a level mix *shrinks* the symmetry
-  // available — never the soundness). Verdict-existence equality is
-  // exercised by the uniform leg; here the set containment is the
-  // mixed-specific property.
+  // Dedup under the mixed base: symmetry must stay inside the dedup-off
+  // multiset (sessions at different levels land in different structural
+  // classes, so a level mix *shrinks* the symmetry available — never the
+  // soundness). Verdict-existence equality is exercised by the uniform
+  // leg; here the set containment is the mixed-specific property.
   if (Config.DiffDedup) {
     // DedupVerifyCarried mirrors the uniform leg: the carried-fingerprint
     // maintenance must survive mixed bases too (different per-session
     // levels shrink the structural classes it canonicalizes over).
-    ExplorerConfig Exact = Recursive;
-    Exact.Dedup = DedupMode::Exact;
-    Exact.DedupVerifyCarried = true;
-    EnumerationResult ExactRes = enumerateHistories(P, Exact);
-    auto ExactKeys = keyMultiset(ExactRes.Histories);
-    if (ExactKeys != RefKeys)
-      Out.push_back(MakeDisagreement(
-          Disagreement::Kind::DedupVerdictMismatch,
-          "dedup=exact vs dedup=off under mix(" + Resolved.str() +
-              "): " + diffSummary(ExactKeys, RefKeys, "exact", "off")));
-    if (ExactRes.Stats.DedupFpMismatches != 0)
-      Out.push_back(MakeDisagreement(
-          Disagreement::Kind::CarriedFingerprintMismatch,
-          "dedup=exact under mix(" + Resolved.str() + "): " +
-              std::to_string(ExactRes.Stats.DedupFpMismatches) +
-              " carried fingerprints differ from the from-scratch "
-              "fingerprint"));
-    ExplorerConfig Sym = Recursive;
+    ExplorerConfig Sym = Seq;
     Sym.Dedup = DedupMode::Symmetry;
     Sym.DedupVerifyCarried = true;
     EnumerationResult SymRes = enumerateHistories(P, Sym);
@@ -692,15 +665,15 @@ std::vector<Disagreement> DifferentialOracle::checkProgram(
   for (IsolationLevel Base : Bases) {
     assert(isPrefixClosedCausallyExtensible(Base) &&
            "explore-ce base must be causally extensible");
-    ExplorerConfig Recursive = ExplorerConfig::exploreCE(Base);
+    ExplorerConfig Seq = ExplorerConfig::exploreCE(Base);
     // Abort oversized enumerations at the cap instead of paying for the
     // full (possibly combinatorial) set only to discard it. Without a
     // filter, outputs are exactly end states, so the cap is precise; the
-    // iterative/parallel legs inherit it but never trigger it (they only
-    // run when the recursive set stayed under the cap).
+    // parallel and dedup legs inherit it but never trigger it (they only
+    // run when the sequential set stayed under the cap).
     if (Config.MaxHistoriesPerCase)
-      Recursive.MaxEndStates = Config.MaxHistoriesPerCase + 1;
-    EnumerationResult Ref = enumerateHistories(P, Recursive);
+      Seq.MaxEndStates = Config.MaxHistoriesPerCase + 1;
+    EnumerationResult Ref = enumerateHistories(P, Seq);
     if (Config.MaxHistoriesPerCase &&
         (Ref.Stats.HitEndStateCap ||
          Ref.Histories.size() > Config.MaxHistoriesPerCase))
@@ -714,7 +687,7 @@ std::vector<Disagreement> DifferentialOracle::checkProgram(
       CcOutputs = Ref.Histories;
 
     if (Config.DiffExplorers) {
-      // Strong optimality: the recursive driver must not emit duplicates.
+      // Strong optimality: the sequential driver must not emit duplicates.
       for (const auto &[Key, N] : RefKeys) {
         if (N == 1)
           continue;
@@ -726,28 +699,15 @@ std::vector<Disagreement> DifferentialOracle::checkProgram(
             D.Culprit = H;
             break;
           }
-        D.Detail = "recursive explorer emitted one history " +
+        D.Detail = "sequential explorer emitted one history " +
                    std::to_string(N) + " times under " +
                    isolationLevelName(Base);
         Out.push_back(std::move(D));
         break; // One duplicate report per base is plenty.
       }
 
-      ExplorerConfig Iterative = Recursive;
-      Iterative.Iterative = true;
-      auto IterKeys = keyMultiset(enumerateHistories(P, Iterative).Histories);
-      if (IterKeys != RefKeys) {
-        Disagreement D;
-        D.K = Disagreement::Kind::ExplorerSetMismatch;
-        D.Level = Base;
-        D.Detail = "iterative vs recursive under " +
-                   std::string(isolationLevelName(Base)) + ": " +
-                   diffSummary(IterKeys, RefKeys, "iterative", "recursive");
-        Out.push_back(std::move(D));
-      }
-
       if (Config.Threads > 1) {
-        ExplorerConfig Par = Recursive;
+        ExplorerConfig Par = Seq;
         Par.Threads = Config.Threads;
         std::vector<History> ParHistories;
         ParallelExplorer E(P, Par);
@@ -758,54 +718,25 @@ std::vector<Disagreement> DifferentialOracle::checkProgram(
           D.K = Disagreement::Kind::ExplorerSetMismatch;
           D.Level = Base;
           D.Detail = "parallel(" + std::to_string(Config.Threads) +
-                     ") vs recursive under " + isolationLevelName(Base) +
+                     ") vs sequential under " + isolationLevelName(Base) +
                      ": " + diffSummary(ParKeys, RefKeys, "parallel",
-                                        "recursive");
+                                        "sequential");
           Out.push_back(std::move(D));
         }
       }
     }
 
     if (Config.DiffDedup) {
-      // Exact mode has nothing to skip on a strongly-optimal run (no two
-      // WorkItems of one exploration are identical), so its output
-      // multiset must match the reference verbatim.
-      // Both dedup legs run with DedupVerifyCarried: every probe's O(Δ)
-      // carried fingerprint is re-derived from scratch and disagreements
-      // are counted — so this optimized fuzzing leg has the same teeth as
-      // the debug-build assert at the engine's probe site.
-      ExplorerConfig Exact = Recursive;
-      Exact.Dedup = DedupMode::Exact;
-      Exact.DedupVerifyCarried = true;
-      EnumerationResult ExactRes = enumerateHistories(P, Exact);
-      auto ExactKeys = keyMultiset(ExactRes.Histories);
-      if (ExactKeys != RefKeys) {
-        Disagreement D;
-        D.K = Disagreement::Kind::DedupVerdictMismatch;
-        D.Level = Base;
-        D.Detail = "dedup=exact vs dedup=off under " +
-                   std::string(isolationLevelName(Base)) + ": " +
-                   diffSummary(ExactKeys, RefKeys, "exact", "off");
-        Out.push_back(std::move(D));
-      }
-      if (ExactRes.Stats.DedupFpMismatches != 0) {
-        Disagreement D;
-        D.K = Disagreement::Kind::CarriedFingerprintMismatch;
-        D.Level = Base;
-        D.Detail = "dedup=exact under " +
-                   std::string(isolationLevelName(Base)) + ": " +
-                   std::to_string(ExactRes.Stats.DedupFpMismatches) +
-                   " carried fingerprints differ from the from-scratch "
-                   "fingerprint";
-        Out.push_back(std::move(D));
-      }
-
       // Symmetry mode may drop renaming-isomorphic histories but must
       // never invent one (sub-multiset of the reference) and must reach
       // the same violation verdict at every swept level. Deliberately the
       // unmutated production checkers on both sides (mirroring the
       // incremental leg): this leg guards dedup itself, not the axioms.
-      ExplorerConfig Sym = Recursive;
+      // It runs with DedupVerifyCarried: every probe's O(Δ) carried
+      // fingerprint is re-derived from scratch and disagreements are
+      // counted — so this optimized fuzzing leg has the same teeth as the
+      // debug-build assert at the engine's probe site.
+      ExplorerConfig Sym = Seq;
       Sym.Dedup = DedupMode::Symmetry;
       Sym.DedupVerifyCarried = true;
       EnumerationResult SymRes = enumerateHistories(P, Sym);

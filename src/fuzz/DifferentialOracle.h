@@ -11,9 +11,9 @@
 ///
 /// For a *program* the oracle diffs, per base level,
 ///
-///   * the recursive, iterative (§7.1) and parallel explorers — identical
+///   * the sequential (§7.1 worklist) and parallel explorers — identical
 ///     canonical output-history multisets (soundness/completeness of each
-///     driver relative to the others) and no duplicates (strong
+///     driver relative to the other) and no duplicates (strong
 ///     optimality, Thm. 5.1);
 ///   * explore-ce*(CC, I) against the explore-ce(CC) set re-filtered by
 ///     the production checker of I (Cor. 6.2 plumbing).
@@ -73,8 +73,8 @@ bool mutatedIsConsistent(const History &H, IsolationLevel Level,
 /// One observed disagreement between redundant implementations.
 struct Disagreement {
   enum class Kind : uint8_t {
-    /// The iterative or parallel explorer produced a different canonical
-    /// output multiset than the recursive explorer.
+    /// The parallel explorer produced a different canonical output
+    /// multiset than the sequential explorer.
     ExplorerSetMismatch,
     /// An explorer emitted the same history twice (optimality breach).
     DuplicateOutput,
@@ -97,11 +97,9 @@ struct Disagreement {
     /// guards eviction soundness/completeness and the trace round-trip.
     StreamingVerdictMismatch,
     /// A dedup-enabled exploration broke its contract against the
-    /// dedup-off reference: exact mode must reproduce the output multiset
-    /// verbatim (optimal runs contain no duplicate items), symmetry mode
-    /// must emit a sub-multiset with identical per-level
-    /// violation-existence verdicts — the leg that guards the subtree
-    /// memoization of core/Dedup.h.
+    /// dedup-off reference: symmetry mode must emit a sub-multiset with
+    /// identical per-level violation-existence verdicts — the leg that
+    /// guards the subtree memoization of core/Dedup.h.
     DedupVerdictMismatch,
     /// An O(Δ) swap-child rebuild (copy the cached prefix state, replay
     /// only the changed blocks) is not equivalentTo the bulk-constructed
@@ -159,7 +157,7 @@ struct OracleConfig {
   bool CrossCheckIncremental = true;
   /// Mixed-semantics legs for cases carrying a per-session level mix:
   /// run the explorers with the mix as the *base assignment* (per-session
-  /// ValidWrites), diff the three drivers, and cross-check every mixed
+  /// ValidWrites), diff the two drivers, and cross-check every mixed
   /// output's MixedSaturationChecker verdict against
   /// BruteForceChecker(assignment) — the Def. 2.2 reference with
   /// per-transaction commit tests. Sampled levels outside the
@@ -174,11 +172,10 @@ struct OracleConfig {
   /// budget and skip the comparison; malformed rejections of a
   /// round-tripped trace always count as disagreements.
   bool DiffStreaming = true;
-  /// Re-run each in-budget base with --dedup=exact (multiset equality
-  /// with the reference — optimal runs have nothing to skip) and
-  /// --dedup=symmetry (sub-multiset plus per-level violation-existence
-  /// equality). Like CrossCheckIncremental, deliberately *not* subject to
-  /// Mutation: the leg guards the dedup/reference equivalence itself.
+  /// Re-run each in-budget base with --dedup=symmetry (sub-multiset plus
+  /// per-level violation-existence equality with the reference). Like
+  /// CrossCheckIncremental, deliberately *not* subject to Mutation: the
+  /// leg guards the dedup/reference equivalence itself.
   bool DiffDedup = true;
   /// Window budgets of the streaming leg (0 = never evict).
   std::vector<unsigned> StreamingWindows = {0, 4, 8};

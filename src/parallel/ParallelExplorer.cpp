@@ -76,7 +76,6 @@ ExplorerStats ParallelExplorer::run(const HistoryVisitor &VisitFn) {
     drainDepthFirst(Engine, Engine.initialItem(), MainSink);
     MainSink.Stats.ElapsedMillis = Timer.elapsedMillis();
     MainSink.Stats.PeakRssKb = peakRssKb();
-    MainSink.Stats.DedupEvictions = Engine.dedupEvictions();
     return MainSink.Stats;
   }
 
@@ -204,6 +203,5 @@ ExplorerStats ParallelExplorer::run(const HistoryVisitor &VisitFn) {
     Total.merge(S);
   Total.ElapsedMillis = Timer.elapsedMillis();
   Total.PeakRssKb = peakRssKb();
-  Total.DedupEvictions = Engine.dedupEvictions();
   return Total;
 }

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The parallel exploration driver. Every worklist entry of the iterative
-/// formulation (§7.1) roots an *independent* subtree — expanding an item
+/// The parallel exploration driver. Every worklist entry of the sequential
+/// walk (§7.1) roots an *independent* subtree — expanding an item
 /// reads only the item and the immutable program/engine — so the
 /// exploration forest can be partitioned across threads without any
 /// algorithmic change:
@@ -48,7 +48,7 @@ namespace txdpor {
 
 /// One parallel exploration run over a program. Construct, then call
 /// run() once. With Config.Threads <= 1 this is exactly the sequential
-/// iterative explorer.
+/// Explorer.
 class ParallelExplorer {
 public:
   ParallelExplorer(const Program &Prog, ExplorerConfig Config);

@@ -69,12 +69,15 @@ expect_reject "up to 100" fuzz --history-percent=101
 
 # Dedup flag: bad modes are rejected, the baseline-explorer combinations
 # are refused (dedup lives in the swapping engine), good forms accepted.
-expect_reject "must be one of off, exact, symmetry" --dedup=bogus
+expect_reject "must be one of off, symmetry" --dedup=bogus
 expect_reject "needs the swapping explorer" --dedup --dfs --sessions 2
-expect_reject "needs the swapping explorer" --dedup=exact --walks 8 \
+expect_reject "needs the swapping explorer" --dedup=symmetry --walks 8 \
   --sessions 2
 expect_accept --app identical --sessions 2 --txns 1 --dedup
-expect_accept --app identical --sessions 2 --txns 1 --dedup=exact
+expect_reject "must be one of off, symmetry" --app identical --sessions 2 \
+  --txns 1 --dedup=exact
+expect_reject "off|symmetry" --app identical --sessions 2 --txns 1 \
+  --dedup --dedup-max-entries 100
 expect_accept --app identical --sessions 2 --txns 1 --dedup=symmetry
 expect_accept --app identical --sessions 2 --txns 1 --dedup=off --dfs
 
@@ -137,6 +140,18 @@ expect_exit() {
     failures=$((failures + 1))
   fi
 }
+
+# Removed dedup forms exit 1 (a usage error, not a crash).
+expect_exit 1 --app identical --sessions 2 --txns 1 --dedup=exact
+expect_exit 1 --app identical --sessions 2 --txns 1 --dedup-max-entries 100
+
+# The SER/SI searches decide at most 64 transactions, the initial one
+# included: tpcc 8x8 (64 program transactions) is refused up front with
+# exit 1 instead of aborting, or answering wrongly, mid-run.
+expect_reject "at most 63 program transactions" \
+  --app tpcc --sessions 8 --txns 8 --filter SER
+expect_exit 1 --app tpcc --sessions 8 --txns 8 --filter SER
+expect_exit 1 --app tpcc --sessions 8 --txns 8 --classify SI
 
 # Verb dispatch: unknown verbs and unreadable inputs are usage errors.
 expect_reject "unknown verb" no-such-verb

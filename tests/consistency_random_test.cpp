@@ -232,3 +232,38 @@ TEST(CausalExtensibilityTest, Fig6ShowsSiSerNotExtensible) {
   EXPECT_FALSE(isConsistent(Ext, IsolationLevel::Serializability));
   EXPECT_TRUE(isConsistent(Ext, IsolationLevel::CausalConsistency));
 }
+
+namespace {
+
+/// \p Writers committed single-write transactions in one session, each
+/// reading its predecessor's write: a serializable chain of Writers + 1
+/// transactions (the initial one included).
+History writerChain(unsigned Writers) {
+  LitmusBuilder B(1);
+  for (uint32_t I = 0; I != Writers; ++I) {
+    B.txn(0, I).r(0, I ? uid(0, I - 1) : TxnUid::init());
+    B.w(0, static_cast<Value>(I) + 1).commit();
+  }
+  return B.build();
+}
+
+} // namespace
+
+// The SER and SI searches pack transaction sets into 64-bit masks. At the
+// limit they still decide; one transaction past it they must refuse in
+// every build type rather than alias mask bits into a wrong verdict.
+TEST(SearchLimitTest, SerializabilityRefusesPast64Txns) {
+  EXPECT_TRUE(isConsistent(writerChain(MaxSearchTxns - 1),
+                           IsolationLevel::Serializability));
+  EXPECT_DEATH(isConsistent(writerChain(MaxSearchTxns),
+                            IsolationLevel::Serializability),
+               "SER checker decides histories of at most 64 transactions");
+}
+
+TEST(SearchLimitTest, SnapshotIsolationRefusesPast64Txns) {
+  EXPECT_TRUE(isConsistent(writerChain(MaxSearchTxns - 1),
+                           IsolationLevel::SnapshotIsolation));
+  EXPECT_DEATH(isConsistent(writerChain(MaxSearchTxns),
+                            IsolationLevel::SnapshotIsolation),
+               "SI checker decides histories of at most 64 transactions");
+}

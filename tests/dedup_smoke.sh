@@ -82,18 +82,6 @@ else
   fi
 fi
 
-# Exact mode must reproduce the dedup=off exploration verbatim — the
-# strongly-optimal explorer never revisits an item, so exact has nothing
-# to skip and the counts must match exactly.
-run "${workload[@]}" --dedup=exact
-exact_hist="$(histories "$out")"
-exact_viol="$(violations "$out")"
-if [ "$exact_hist" != "$off_hist" ] || [ "$exact_viol" != "$off_viol" ]; then
-  echo "FAIL: dedup=exact ($exact_hist histories, $exact_viol violations)" \
-    "differs from dedup=off ($off_hist, $off_viol)" >&2
-  failures=$((failures + 1))
-fi
-
 # On a structurally asymmetric workload (every tpcc session draws its
 # own transaction mix) each session is its own symmetry class, so
 # symmetry must be a no-op.

@@ -164,13 +164,13 @@ TEST(EventRefHashTest, Spreads64Bits) {
 //===----------------------------------------------------------------------===//
 
 // Renaming the (structurally identical) sessions of an output history is
-// invisible to the symmetry fingerprint and visible to the exact one.
+// invisible to the symmetry fingerprint and visible to the un-renamed
+// historyFingerprint.
 TEST(DedupFingerprintTest, SessionRenamingInvariance) {
   Program P = identicalProgram(3, 2, /*Seed=*/5);
   LevelAssignment Levels =
       LevelAssignment::uniform(IsolationLevel::CausalConsistency);
-  DedupTable Symmetry(P, Levels, DedupMode::Symmetry);
-  DedupTable Exact(P, Levels, DedupMode::Exact);
+  DedupTable Symmetry(P, Levels);
 
   EnumerationResult Run = enumerateHistories(
       P, ExplorerConfig::exploreCE(IsolationLevel::CausalConsistency));
@@ -179,25 +179,24 @@ TEST(DedupFingerprintTest, SessionRenamingInvariance) {
   // All 3-session permutations, identity first.
   const std::vector<std::vector<uint32_t>> Pis = {
       {0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}};
-  unsigned ExactDiffers = 0;
+  unsigned RenamedDiffers = 0;
   for (const History &H : Run.Histories) {
     CursorMap Cursors = replayAllCursors(P, H);
     Fingerprint SymBase = Symmetry.itemFingerprint(H, Cursors);
-    Fingerprint ExactBase = Exact.itemFingerprint(H, Cursors);
     for (const auto &Pi : Pis) {
       History R = renameSessions(H, Pi);
       CursorMap RCursors = replayAllCursors(P, R);
       EXPECT_EQ(Symmetry.itemFingerprint(R, RCursors), SymBase)
           << "symmetry fingerprint not renaming-invariant";
-      if (Exact.itemFingerprint(R, RCursors) != ExactBase)
-        ++ExactDiffers;
+      if (historyFingerprint(R) != historyFingerprint(H))
+        ++RenamedDiffers;
     }
   }
-  // Exact mode must see through none of this: renamings that change the
-  // history change the fingerprint (identity permutations and
-  // self-symmetric histories legitimately coincide, so assert in bulk).
-  EXPECT_GT(ExactDiffers, Run.Histories.size())
-      << "exact fingerprint ignores session identity";
+  // The renamings are real changes: they change the un-renamed history
+  // fingerprint (identity permutations and self-symmetric histories
+  // legitimately coincide, so assert in bulk).
+  EXPECT_GT(RenamedDiffers, Run.Histories.size())
+      << "renaming left the histories unchanged";
 }
 
 // For complete histories the order-insensitive historyFingerprint must
@@ -252,10 +251,10 @@ bool hasViolation(const std::vector<History> &Hs, IsolationLevel L) {
 
 } // namespace
 
-// The verdict grid of the oracle leg, run deterministically: exact mode
-// reproduces the reference output multiset verbatim, symmetry emits a
-// sub-multiset with identical per-level violation verdicts, and on the
-// symmetric workload the reduction strictly bites.
+// The verdict grid of the oracle leg, run deterministically: symmetry
+// emits a sub-multiset of the reference with identical per-level
+// violation verdicts, and on the symmetric workload the reduction
+// strictly bites.
 TEST(DedupEquivalenceTest, VerdictGridMatchesReference) {
   const IsolationLevel Verdicts[] = {
       IsolationLevel::ReadCommitted, IsolationLevel::CausalConsistency,
@@ -273,13 +272,6 @@ TEST(DedupEquivalenceTest, VerdictGridMatchesReference) {
         ExplorerConfig Off = ExplorerConfig::exploreCE(Base);
         EnumerationResult Ref = enumerateHistories(P, Off);
         auto RefKeys = countByCanonicalKey(Ref.Histories);
-
-        ExplorerConfig ExactCfg = Off;
-        ExactCfg.Dedup = DedupMode::Exact;
-        EnumerationResult Exact = enumerateHistories(P, ExactCfg);
-        EXPECT_EQ(countByCanonicalKey(Exact.Histories), RefKeys)
-            << appName(App) << " seed " << Seed
-            << ": exact dedup perturbed an optimal exploration";
 
         ExplorerConfig SymCfg = Off;
         SymCfg.Dedup = DedupMode::Symmetry;
@@ -317,9 +309,9 @@ TEST(DedupEquivalenceTest, VerdictGridMatchesReference) {
 // The carried O(Δ) fingerprint must equal the from-scratch fingerprint at
 // every probe the engine performs — across extension, read-branch,
 // commit and swap children (swap children re-derive from the history),
-// for both modes, uniform and mixed bases. DedupVerifyCarried recomputes
-// every probe from scratch and counts disagreements, so a single drift
-// anywhere in the maintenance fails the run.
+// uniform and mixed bases. DedupVerifyCarried recomputes every probe
+// from scratch and counts disagreements, so a single drift anywhere in
+// the maintenance fails the run.
 TEST(DedupCarriedFingerprintTest, CarriedEqualsScratchAtEveryProbe) {
   for (AppKind App : {AppKind::IdenticalSessions, AppKind::Courseware}) {
     for (uint64_t Seed = 1; Seed != 3; ++Seed) {
@@ -328,17 +320,15 @@ TEST(DedupCarriedFingerprintTest, CarriedEqualsScratchAtEveryProbe) {
       Spec.TxnsPerSession = 2;
       Spec.Seed = Seed;
       Program P = makeClientProgram(App, Spec);
-      for (DedupMode Mode : {DedupMode::Exact, DedupMode::Symmetry}) {
-        ExplorerConfig Cfg =
-            ExplorerConfig::exploreCE(IsolationLevel::CausalConsistency);
-        Cfg.Dedup = Mode;
-        Cfg.DedupVerifyCarried = true;
-        EnumerationResult Run = enumerateHistories(P, Cfg);
-        EXPECT_GT(Run.Stats.DedupChecks, 0u);
-        EXPECT_EQ(Run.Stats.DedupFpMismatches, 0u)
-            << appName(App) << " seed " << Seed << ": carried fingerprint "
-            << "drifted from the from-scratch fingerprint";
-      }
+      ExplorerConfig Cfg =
+          ExplorerConfig::exploreCE(IsolationLevel::CausalConsistency);
+      Cfg.Dedup = DedupMode::Symmetry;
+      Cfg.DedupVerifyCarried = true;
+      EnumerationResult Uniform = enumerateHistories(P, Cfg);
+      EXPECT_GT(Uniform.Stats.DedupChecks, 0u);
+      EXPECT_EQ(Uniform.Stats.DedupFpMismatches, 0u)
+          << appName(App) << " seed " << Seed << ": carried fingerprint "
+          << "drifted from the from-scratch fingerprint";
       // A mixed base partitions sessions into different structural
       // classes; the carried symmetry canonicalization must track that.
       LevelAssignment Mix(IsolationLevel::CausalConsistency);
@@ -355,104 +345,11 @@ TEST(DedupCarriedFingerprintTest, CarriedEqualsScratchAtEveryProbe) {
   }
 }
 
-// Eviction soundness: a bounded table only ever *forgets* fingerprints,
-// so an evicted subtree is re-explored — never wrongly skipped. Every
-// output of a bounded run must come from the reference set with
-// unchanged violation verdicts, and a tiny cap must actually evict.
-TEST(DedupEvictionTest, BoundedTableOnlyReExplores) {
-  Program P = identicalProgram(3, 2, /*Seed=*/1);
-  ExplorerConfig Off =
-      ExplorerConfig::exploreCE(IsolationLevel::CausalConsistency);
-  EnumerationResult Ref = enumerateHistories(P, Off);
-  auto RefKeys = countByCanonicalKey(Ref.Histories);
-
-  ExplorerConfig Sym = Off;
-  Sym.Dedup = DedupMode::Symmetry;
-  EnumerationResult Unbounded = enumerateHistories(P, Sym);
-
-  for (uint64_t Cap : {8u, 64u, 4096u}) {
-    ExplorerConfig Bounded = Sym;
-    Bounded.DedupMaxEntries = Cap;
-    Bounded.DedupVerifyCarried = true;
-    EnumerationResult Run = enumerateHistories(P, Bounded);
-    EXPECT_EQ(Run.Stats.DedupFpMismatches, 0u);
-    // Forgetting can only grow the output back toward the reference.
-    EXPECT_GE(Run.Histories.size(), Unbounded.Histories.size())
-        << "cap " << Cap;
-    EXPECT_LE(Run.Histories.size(), Ref.Histories.size()) << "cap " << Cap;
-    for (const auto &[Key, N] : countByCanonicalKey(Run.Histories)) {
-      auto It = RefKeys.find(Key);
-      ASSERT_TRUE(It != RefKeys.end() && It->second >= N)
-          << "cap " << Cap
-          << ": bounded run emitted a history outside the reference set";
-    }
-    for (IsolationLevel L : {IsolationLevel::CausalConsistency,
-                             IsolationLevel::Serializability})
-      EXPECT_EQ(hasViolation(Run.Histories, L),
-                hasViolation(Ref.Histories, L))
-          << "cap " << Cap << ": verdict at " << isolationLevelName(L)
-          << " diverged";
-    if (Cap == 8) {
-      EXPECT_GT(Run.Stats.DedupEvictions, 0u)
-          << "a cap of 8 must evict on this workload";
-    }
-    // An ample cap behaves exactly like the unbounded table.
-    if (Cap == 4096) {
-      EXPECT_EQ(Run.Stats.DedupEvictions, 0u);
-      EXPECT_EQ(countByCanonicalKey(Run.Histories),
-                countByCanonicalKey(Unbounded.Histories));
-    }
-  }
-}
-
-// Concurrent eviction: workers race insertIfNew probes against CLOCK
-// sweeps on the shared sharded table. Soundness must survive any
-// interleaving (this fixture runs under TSan in CI), and exact mode —
-// which never has anything to skip on an optimal run — must stay
-// lossless even while evicting.
-TEST(DedupEvictionTest, ConcurrentBoundedTableStaysSound) {
-  Program P = identicalProgram(3, 2, /*Seed=*/1);
-  ExplorerConfig Off =
-      ExplorerConfig::exploreCE(IsolationLevel::CausalConsistency);
-  EnumerationResult Ref = enumerateHistories(P, Off);
-  auto RefKeys = countByCanonicalKey(Ref.Histories);
-
-  for (unsigned Threads : {2u, 4u}) {
-    for (DedupMode Mode : {DedupMode::Exact, DedupMode::Symmetry}) {
-      ExplorerConfig Par = Off;
-      Par.Threads = Threads;
-      Par.Dedup = Mode;
-      Par.DedupMaxEntries = 32;
-      std::vector<History> Out;
-      ParallelExplorer E(P, Par);
-      ExplorerStats Stats =
-          E.run([&](const History &H) { Out.push_back(H); });
-      auto Keys = countByCanonicalKey(Out);
-      if (Mode == DedupMode::Exact) {
-        EXPECT_EQ(Keys, RefKeys)
-            << Threads << " threads: exact turned lossy under eviction";
-      } else {
-        for (const auto &[Key, N] : Keys) {
-          auto It = RefKeys.find(Key);
-          ASSERT_TRUE(It != RefKeys.end() && It->second >= N)
-              << Threads
-              << " threads: bounded symmetry output outside the reference";
-        }
-        EXPECT_EQ(hasViolation(Out, IsolationLevel::Serializability),
-                  hasViolation(Ref.Histories,
-                               IsolationLevel::Serializability))
-            << Threads << " threads";
-      }
-      EXPECT_GT(Stats.DedupEvictions, 0u)
-          << Threads << " threads: a cap of 32 must evict here";
-    }
-  }
-}
-
 // Thread-count invariance of the shared sharded table: every parallel
-// output is in the reference set, the verdicts agree, and the exact mode
-// stays lossless (parallel work order may change *which* isomorphic
-// representative survives symmetry, but never soundness).
+// output is in the reference set and the verdicts agree (parallel work
+// order may change *which* isomorphic representative survives symmetry,
+// but never soundness). Runs under TSan in CI: workers race insertIfNew
+// probes on the shared shards.
 TEST(DedupEquivalenceTest, ParallelSharedTableStaysSound) {
   Program P = identicalProgram(3, 2, /*Seed=*/1);
   ExplorerConfig Off =
@@ -461,27 +358,50 @@ TEST(DedupEquivalenceTest, ParallelSharedTableStaysSound) {
   auto RefKeys = countByCanonicalKey(Ref.Histories);
 
   for (unsigned Threads : {2u, 4u}) {
-    for (DedupMode Mode : {DedupMode::Exact, DedupMode::Symmetry}) {
-      ExplorerConfig Par = Off;
-      Par.Threads = Threads;
-      Par.Dedup = Mode;
-      std::vector<History> Out;
-      ParallelExplorer E(P, Par);
-      E.run([&](const History &H) { Out.push_back(H); });
-      auto Keys = countByCanonicalKey(Out);
-      if (Mode == DedupMode::Exact) {
-        EXPECT_EQ(Keys, RefKeys) << Threads << " threads: exact lossy";
-      } else {
-        EXPECT_LE(Out.size(), Ref.Histories.size());
-        for (const auto &[Key, N] : Keys) {
-          auto It = RefKeys.find(Key);
-          ASSERT_TRUE(It != RefKeys.end() && It->second >= N)
-              << Threads
-              << " threads: symmetry output outside the reference set";
-        }
-        EXPECT_EQ(hasViolation(Out, IsolationLevel::Serializability),
-                  hasViolation(Ref.Histories,
-                               IsolationLevel::Serializability));
+    ExplorerConfig Par = Off;
+    Par.Threads = Threads;
+    Par.Dedup = DedupMode::Symmetry;
+    std::vector<History> Out;
+    ParallelExplorer E(P, Par);
+    E.run([&](const History &H) { Out.push_back(H); });
+    EXPECT_LE(Out.size(), Ref.Histories.size());
+    for (const auto &[Key, N] : countByCanonicalKey(Out)) {
+      auto It = RefKeys.find(Key);
+      ASSERT_TRUE(It != RefKeys.end() && It->second >= N)
+          << Threads << " threads: symmetry output outside the reference set";
+    }
+    EXPECT_EQ(hasViolation(Out, IsolationLevel::Serializability),
+              hasViolation(Ref.Histories, IsolationLevel::Serializability))
+        << Threads << " threads";
+  }
+}
+
+// Why there is no renaming-free dedup mode: strong optimality (Thm. 5.1)
+// means the explorer never reaches the same item twice, so a table keyed
+// by the item as-is could never skip anything. Over the verdict grid, no
+// ordered history (block order and writers included) is visited twice.
+TEST(DedupEquivalenceTest, NoItemVisitedTwice) {
+  for (AppKind App : {AppKind::IdenticalSessions, AppKind::Courseware}) {
+    for (uint64_t Seed = 1; Seed != 3; ++Seed) {
+      for (IsolationLevel Base : {IsolationLevel::ReadCommitted,
+                                  IsolationLevel::CausalConsistency}) {
+        ClientSpec Spec;
+        Spec.Sessions = 3;
+        Spec.TxnsPerSession = 2;
+        Spec.Seed = Seed;
+        Program P = makeClientProgram(App, Spec);
+        ExplorerConfig Cfg = ExplorerConfig::exploreCE(Base);
+        std::set<std::string> Seen;
+        uint64_t Repeats = 0;
+        Cfg.OnExplore = [&](const History &H) {
+          if (!Seen.insert(H.str()).second)
+            ++Repeats;
+        };
+        ExplorerStats Stats = exploreProgram(P, Cfg);
+        EXPECT_EQ(Seen.size(), Stats.ExploreCalls);
+        EXPECT_EQ(Repeats, 0u)
+            << appName(App) << " seed " << Seed << " base "
+            << isolationLevelName(Base) << ": an item was visited twice";
       }
     }
   }

@@ -8,9 +8,11 @@
 /// \file
 /// The paper's tool uses an iterative implementation "where inputs to
 /// recursive calls are maintained as a collection of histories instead of
-/// relying on the call stack" (§7.1). These tests pin the equivalence of
-/// our two implementations: identical output sequences (not just sets)
-/// and identical aggregate statistics on figure programs, application
+/// relying on the call stack" (§7.1); so does Explorer (drainDepthFirst).
+/// These tests pin that its worklist visits nodes in exactly the order of
+/// the paper's recursive explore(): identical output sequences (not just
+/// sets) and identical aggregate statistics against a recursive reference
+/// walk over the same ExplorationEngine, on figure programs, application
 /// clients and random programs.
 ///
 //===----------------------------------------------------------------------===//
@@ -30,18 +32,33 @@ struct RunTrace {
   ExplorerStats Stats;
 };
 
-RunTrace runWith(const Program &P, ExplorerConfig Config, bool Iterative) {
-  Config.Iterative = Iterative;
-  RunTrace Trace;
-  Trace.Stats = exploreProgram(P, Config, [&](const History &H) {
-    Trace.Outputs.push_back(H.canonicalKey());
-  });
-  return Trace;
+/// The paper's recursive explore(): expand a node, then recurse into each
+/// child in order. The independent reference for the worklist's order.
+void exploreRecursively(const ExplorationEngine &Engine, WorkItem Item,
+                        ExplorationSink &S) {
+  std::vector<WorkItem> Children;
+  Engine.expandItem(std::move(Item), Children, S);
+  for (WorkItem &Child : Children) {
+    if (Engine.shouldStop(S))
+      return;
+    exploreRecursively(Engine, std::move(Child), S);
+  }
 }
 
 void expectEquivalent(const Program &P, ExplorerConfig Config) {
-  RunTrace Recursive = runWith(P, Config, /*Iterative=*/false);
-  RunTrace Iterative = runWith(P, Config, /*Iterative=*/true);
+  RunTrace Recursive;
+  ExplorationEngine Engine(P, Config);
+  ExplorationSink S;
+  S.Visit = [&](const History &H) {
+    Recursive.Outputs.push_back(H.canonicalKey());
+  };
+  exploreRecursively(Engine, Engine.initialItem(), S);
+  Recursive.Stats = S.Stats;
+
+  RunTrace Iterative;
+  Iterative.Stats = exploreProgram(P, Config, [&](const History &H) {
+    Iterative.Outputs.push_back(H.canonicalKey());
+  });
   EXPECT_EQ(Recursive.Outputs, Iterative.Outputs)
       << "output sequences diverge on\n"
       << P.str();
@@ -145,7 +162,6 @@ TEST(IterativeExplorerTest, EndStateCapRespected) {
   Program P = B.build();
   ExplorerConfig Config =
       ExplorerConfig::exploreCE(IsolationLevel::CausalConsistency);
-  Config.Iterative = true;
   Config.MaxEndStates = 2;
   ExplorerStats Stats = exploreProgram(P, Config);
   EXPECT_EQ(Stats.EndStates, 2u);

@@ -386,10 +386,6 @@ TEST(MixedExplorerTest, ThreadCountInvariantUnderMixedBase) {
   ExplorerConfig Base = ExplorerConfig::exploreCEMixed(Mix);
   auto Reference = countByCanonicalKey(explore(P, Base));
 
-  ExplorerConfig Iterative = Base;
-  Iterative.Iterative = true;
-  EXPECT_EQ(Reference, countByCanonicalKey(explore(P, Iterative)));
-
   for (unsigned Threads : {1u, 2u, 4u}) {
     ExplorerConfig Par = Base;
     Par.Threads = Threads;

@@ -69,8 +69,6 @@ struct CliOptions {
   bool UseDfs = false;
   std::optional<uint64_t> Walks;
   DedupMode Dedup = DedupMode::Off;
-  /// --dedup-max-entries: memo-table bound (0 = unbounded, the default).
-  uint64_t DedupMaxEntries = 0;
   int64_t BudgetMs = 30000;
   unsigned Threads = 1;
   unsigned SplitFactor = 4;
@@ -193,14 +191,10 @@ void printUsage() {
       "                      first violation\n"
       "  --dfs               run the no-POR DFS baseline instead\n"
       "  --walks N           run N random-walk samples instead\n"
-      "  --dedup[=MODE]      subtree dedup: off|exact|symmetry (default\n"
-      "                      off; bare --dedup means symmetry). exact\n"
-      "                      skips repeated WorkItems, symmetry also\n"
-      "                      collapses session-renaming-isomorphic ones\n"
-      "  --dedup-max-entries N\n"
-      "                      cap the dedup memo table at ~N fingerprints\n"
-      "                      with CLOCK eviction (default 0 = unbounded;\n"
-      "                      eviction re-explores, never wrongly skips)\n"
+      "  --dedup[=MODE]      subtree dedup: off|symmetry (default off;\n"
+      "                      bare --dedup means symmetry). symmetry\n"
+      "                      explores session-renaming-isomorphic\n"
+      "                      subtrees once\n"
       "  --budget-ms N       wall-clock budget (default 30000)\n"
       "  --threads N         worker threads for the exploration (default 1\n"
       "                      = sequential; the output history set is\n"
@@ -462,19 +456,17 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Options) {
         Options.Dedup = DedupMode::Symmetry;
       } else if (*R.inlineValue() == "off") {
         Options.Dedup = DedupMode::Off;
-      } else if (*R.inlineValue() == "exact") {
-        Options.Dedup = DedupMode::Exact;
       } else if (*R.inlineValue() == "symmetry") {
         Options.Dedup = DedupMode::Symmetry;
       } else {
-        std::cerr << "error: --dedup must be one of off, exact, symmetry "
-                     "(got '"
+        std::cerr << "error: --dedup must be one of off, symmetry (got '"
                   << *R.inlineValue() << "')\n";
         return false;
       }
     } else if (R.is("--dedup-max-entries")) {
-      if (!R.uint64Value(Options.DedupMaxEntries))
-        return false;
+      std::cerr << "error: --dedup-max-entries is not supported (the dedup "
+                   "table is unbounded); use --dedup[=off|symmetry]\n";
+      return false;
     } else if (R.is("--budget-ms")) {
       if (!R.budgetValue(Options.BudgetMs))
         return false;
@@ -1161,10 +1153,6 @@ int main(int Argc, char **Argv) {
                  "(drop --dfs/--walks)\n";
     return 1;
   }
-  if (Options.DedupMaxEntries != 0 && Options.Dedup == DedupMode::Off) {
-    std::cerr << "error: --dedup-max-entries requires --dedup\n";
-    return 1;
-  }
 
   // Armed before any exploration; its destructor writes the trace on
   // every exit path below (including --walks/--dfs early returns).
@@ -1181,6 +1169,20 @@ int main(int Argc, char **Argv) {
   Spec.MixedBase = Options.Base;
   Program P = makeClientProgram(Options.App, Spec);
   VarNameFn Names = P.varNameFn();
+  // The SER/SI searches decide at most MaxSearchTxns transactions, the
+  // initial one included: refuse up front instead of aborting mid-run.
+  for (const std::optional<IsolationLevel> &L :
+       {Options.Filter, Options.Classify})
+    if (L &&
+        (*L == IsolationLevel::SnapshotIsolation ||
+         *L == IsolationLevel::Serializability) &&
+        P.totalTxns() + 1 > MaxSearchTxns) {
+      std::cerr << "error: " << isolationLevelName(*L)
+                << " checking supports at most " << MaxSearchTxns - 1
+                << " program transactions; this program has "
+                << P.totalTxns() << '\n';
+      return 1;
+    }
 
   std::cout << "client: " << appName(Options.App) << " seed " << Options.Seed
             << ", " << Options.Sessions << " sessions x " << Options.Txns
@@ -1256,7 +1258,6 @@ int main(int Argc, char **Argv) {
   Config.SplitFactor = Options.SplitFactor;
   Config.SplitDepth = Options.SplitDepth;
   Config.Dedup = Options.Dedup;
-  Config.DedupMaxEntries = Options.DedupMaxEntries;
 
   std::vector<History> Violations;
   uint64_t Outputs = 0;
@@ -1318,14 +1319,8 @@ int main(int Argc, char **Argv) {
               << Stats.StealFailures << " failed sweeps), "
               << Stats.IdleParks << " idle parks\n";
   if (Options.Dedup != DedupMode::Off) {
-    std::cout << "dedup ("
-              << (Options.Dedup == DedupMode::Exact ? "exact" : "symmetry")
-              << "): " << Stats.DedupSkips << " subtrees skipped of "
-              << Stats.DedupChecks << " checked";
-    if (Options.DedupMaxEntries != 0)
-      std::cout << ", " << Stats.DedupEvictions << " evictions (cap "
-                << Options.DedupMaxEntries << ")";
-    std::cout << "\n";
+    std::cout << "dedup (symmetry): " << Stats.DedupSkips
+              << " subtrees skipped of " << Stats.DedupChecks << " checked\n";
   }
 
   if (Options.Classify) {
