@@ -9,23 +9,9 @@
 
 #include "consistency/BruteForceChecker.h"
 #include "consistency/SaturationChecker.h"
-#include "consistency/SerializabilityChecker.h"
-#include "consistency/SnapshotIsolationChecker.h"
-
-#include <cstdio>
-#include <cstdlib>
+#include "consistency/SearchChecker.h"
 
 using namespace txdpor;
-
-void txdpor::requireSearchableSize(const History &H, const char *Checker) {
-  if (H.numTxns() <= MaxSearchTxns)
-    return;
-  std::fprintf(stderr,
-               "txdpor: the %s checker decides histories of at most %u "
-               "transactions (initial transaction included), got %u\n",
-               Checker, MaxSearchTxns, H.numTxns());
-  std::abort();
-}
 
 const char *txdpor::isolationLevelName(IsolationLevel Level) {
   switch (Level) {
@@ -66,9 +52,8 @@ txdpor::makeChecker(IsolationLevel Level) {
   case IsolationLevel::CausalConsistency:
     return std::make_unique<SaturationChecker>(Level);
   case IsolationLevel::SnapshotIsolation:
-    return std::make_unique<SnapshotIsolationChecker>();
   case IsolationLevel::Serializability:
-    return std::make_unique<SerializabilityChecker>();
+    return std::make_unique<SearchChecker>(Level);
   }
   return nullptr;
 }
@@ -92,26 +77,13 @@ bool txdpor::isConsistent(const History &H, const LevelAssignment &Levels) {
 }
 
 const ConsistencyChecker &txdpor::checkerFor(IsolationLevel Level) {
-  // Function-local statics sidestep global-constructor ordering issues.
-  static const TrivialChecker Trivial;
-  static const SaturationChecker Rc(IsolationLevel::ReadCommitted);
-  static const SaturationChecker Ra(IsolationLevel::ReadAtomic);
-  static const SaturationChecker Cc(IsolationLevel::CausalConsistency);
-  static const SnapshotIsolationChecker Si;
-  static const SerializabilityChecker Ser;
-  switch (Level) {
-  case IsolationLevel::Trivial:
-    return Trivial;
-  case IsolationLevel::ReadCommitted:
-    return Rc;
-  case IsolationLevel::ReadAtomic:
-    return Ra;
-  case IsolationLevel::CausalConsistency:
-    return Cc;
-  case IsolationLevel::SnapshotIsolation:
-    return Si;
-  case IsolationLevel::Serializability:
-    return Ser;
-  }
-  return Trivial;
+  // A function-local static sidesteps global-constructor ordering issues.
+  static const auto Checkers = [] {
+    std::array<std::unique_ptr<ConsistencyChecker>, AllIsolationLevels.size()>
+        ByLevel;
+    for (IsolationLevel L : AllIsolationLevels)
+      ByLevel[static_cast<size_t>(L)] = makeChecker(L);
+    return ByLevel;
+  }();
+  return *Checkers[static_cast<size_t>(Level)];
 }

@@ -13,11 +13,10 @@
 /// polynomial time for RC, RA, CC; NP-complete for SI and SER. This module
 /// mirrors that split:
 ///
-///   * SaturationChecker   — RC / RA / CC, polynomial.
-///   * SerializabilityChecker — commit-sequence search with memoization.
-///   * SnapshotIsolationChecker — start/commit point search with
-///     memoization.
-///   * BruteForceChecker   — literal Def. 2.2 (enumerate commit orders,
+///   * SaturationChecker — RC / RA / CC, polynomial.
+///   * SearchChecker     — SI / SER, one memoized start/commit point
+///     search (SER commits every transaction at its start point).
+///   * BruteForceChecker — literal Def. 2.2 (enumerate commit orders,
 ///     evaluate axioms); test oracle only.
 ///
 //===----------------------------------------------------------------------===//
@@ -48,15 +47,12 @@ public:
   virtual bool isConsistent(const History &H) const = 0;
 };
 
-/// The SER and SI searches pack transaction sets into 64-bit masks, so
-/// they decide histories of at most this many transactions (the initial
-/// transaction included).
+/// The SI/SER search packs transaction sets into 64-bit masks, so it
+/// decides histories of at most this many transactions (the initial
+/// transaction included). Past the limit it aborts with a diagnostic in
+/// every build type: the masks would alias and the verdicts would be
+/// silently wrong.
 constexpr unsigned MaxSearchTxns = 64;
-
-/// Aborts with a diagnostic naming \p Checker when \p H holds more than
-/// MaxSearchTxns transactions. Checked in every build type: past the
-/// limit the masks would alias and the verdicts would be silently wrong.
-void requireSearchableSize(const History &H, const char *Checker);
 
 /// Returns the production checker for \p Level (a shared singleton).
 const ConsistencyChecker &checkerFor(IsolationLevel Level);

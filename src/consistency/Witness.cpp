@@ -9,8 +9,7 @@
 
 #include "consistency/Axioms.h"
 #include "consistency/SaturationChecker.h"
-#include "consistency/SerializabilityChecker.h"
-#include "consistency/SnapshotIsolationChecker.h"
+#include "consistency/SearchChecker.h"
 
 #include <algorithm>
 
@@ -70,16 +69,10 @@ txdpor::findCommitOrder(const History &H, IsolationLevel Level) {
       Result = std::move(Order);
     break;
   }
-  case IsolationLevel::SnapshotIsolation: {
-    SnapshotIsolationChecker Checker;
-    Result = Checker.findCommitOrder(H);
+  case IsolationLevel::SnapshotIsolation:
+  case IsolationLevel::Serializability:
+    Result = SearchChecker(Level).findCommitOrder(H);
     break;
-  }
-  case IsolationLevel::Serializability: {
-    SerializabilityChecker Checker;
-    Result = Checker.findCommitOrder(H);
-    break;
-  }
   }
   assert((!Result || validateCommitOrder(H, Level, *Result)) &&
          "produced certificate failed validation");

@@ -136,6 +136,8 @@ void ExplorationEngine::reachedEndState(const History &H,
   assert(!H.pendingTxn() && "end state with a pending transaction");
   bool Valid = true;
   if (Filter) {
+    TXDPOR_TRACE_SPAN(Check, ValidFilter, H.numTxns());
+    trace::bump(trace::Counter::FilterChecks);
     ++S.Stats.ConsistencyChecks;
     Valid = Filter->isConsistent(H);
   }

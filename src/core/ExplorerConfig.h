@@ -98,19 +98,6 @@ struct ExplorerConfig {
   /// is fixed; threads only partition its subtrees).
   unsigned Threads = 1;
 
-  /// Frontier sizing for the parallel driver: the breadth-first split
-  /// phase keeps expanding until at least SplitFactor × Threads
-  /// independent subtrees are available for the workers. Larger values
-  /// smooth out imbalanced subtrees at the cost of a longer sequential
-  /// phase.
-  unsigned SplitFactor = 4;
-
-  /// Depth bound for the split phase (0 = unbounded): items at this depth
-  /// or deeper are handed to the workers unsplit even if the frontier is
-  /// still below target. Guards against degenerate, mostly-linear trees
-  /// where breadth-first splitting would just replay the whole run.
-  unsigned SplitDepth = 0;
-
   /// Order in which Next starts transactions when none is pending (§5.1's
   /// oracle order). Empty means the default: sessions ascending, within a
   /// session by position. A custom order must list every transaction of

@@ -90,6 +90,8 @@ const char *txdpor::fuzz::disagreementKindName(Disagreement::Kind K) {
     return "incremental-swap-state-mismatch";
   case Disagreement::Kind::CarriedFingerprintMismatch:
     return "carried-fingerprint-mismatch";
+  case Disagreement::Kind::LevelMonotonicityViolation:
+    return "level-monotonicity-violation";
   }
   return "unknown";
 }
@@ -106,9 +108,31 @@ txdpor::fuzz::disagreementKindByName(const std::string &Name) {
         Disagreement::Kind::StreamingVerdictMismatch,
         Disagreement::Kind::DedupVerdictMismatch,
         Disagreement::Kind::IncrementalSwapStateMismatch,
-        Disagreement::Kind::CarriedFingerprintMismatch})
+        Disagreement::Kind::CarriedFingerprintMismatch,
+        Disagreement::Kind::LevelMonotonicityViolation})
     if (Name == disagreementKindName(K))
       return K;
+  return std::nullopt;
+}
+
+std::optional<Disagreement> txdpor::fuzz::checkLevelMonotonicity(
+    const History &H,
+    const std::vector<std::pair<IsolationLevel, bool>> &Verdicts) {
+  for (auto [Weak, WeakOk] : Verdicts)
+    for (auto [Strong, StrongOk] : Verdicts) {
+      if (WeakOk || !StrongOk || !isWeakerOrEqual(Weak, Strong))
+        continue;
+      Disagreement D;
+      D.K = Disagreement::Kind::LevelMonotonicityViolation;
+      D.Level = Strong;
+      D.Culprit = H;
+      D.ProductionVerdict = StrongOk;
+      D.ReferenceVerdict = WeakOk;
+      D.Detail = std::string(isolationLevelName(Strong)) +
+                 " accepts but the weaker " + isolationLevelName(Weak) +
+                 " rejects";
+      return D;
+    }
   return std::nullopt;
 }
 
@@ -195,10 +219,13 @@ diffIncremental(const History &H, const LevelAssignment &Levels) {
 /// prefix state below the reader and replaying only the changed blocks —
 /// and the two must be logically equivalent. The leg that keeps the
 /// engine's O(delta) swap fan-out rebuild honest against the bulk
-/// constructor it replaced on the hot path.
+/// constructor it replaced on the hot path. Like the engine, it fans out
+/// swaps only from base-consistent histories: ConstraintState does not
+/// extend an inconsistent state.
 std::optional<Disagreement>
 diffSwapRebuild(const History &H, const LevelAssignment &Levels) {
-  if (!Levels.allPrefixClosedCausallyExtensible())
+  if (!Levels.allPrefixClosedCausallyExtensible() ||
+      !ConstraintState(H, Levels).consistent())
     return std::nullopt;
   std::vector<Reordering> Rs = computeReorderings(H);
   if (Rs.empty())
@@ -328,6 +355,16 @@ diffStreaming(const History &H, const LevelAssignment &Levels, bool Expected,
 void DifferentialOracle::checkOneHistory(
     const History &H, const std::vector<IsolationLevel> &Levels,
     std::vector<Disagreement> &Out, bool Stream) const {
+  if (H.numTxns() > MaxSearchTxns)
+    return; // Beyond the SI/SER search, let alone brute force.
+  // Production verdicts, shared by the legs below. The monotonicity leg
+  // needs no reference, so it runs before the brute-force size cut.
+  std::vector<std::pair<IsolationLevel, bool>> Production;
+  for (IsolationLevel Level : Levels)
+    Production.push_back(
+        {Level, mutatedIsConsistent(H, Level, Config.Mutation)});
+  if (std::optional<Disagreement> D = checkLevelMonotonicity(H, Production))
+    Out.push_back(std::move(*D));
   if (Config.MaxBruteForceTxns && H.numTxns() > Config.MaxBruteForceTxns)
     return;
   if (Config.CrossCheckIncremental && incrementalEligible(H)) {
@@ -343,23 +380,20 @@ void DifferentialOracle::checkOneHistory(
         Out.push_back(std::move(*D));
     }
   }
-  for (IsolationLevel Level : Levels) {
+  for (auto [Level, Verdict] : Production) {
     bool Reference = BruteForceChecker(Level).isConsistent(H);
-    if (Config.CrossCheckVerdicts) {
-      bool Production = mutatedIsConsistent(H, Level, Config.Mutation);
-      if (Production != Reference) {
-        Disagreement D;
-        D.K = Disagreement::Kind::CheckerVerdictMismatch;
-        D.Level = Level;
-        D.Culprit = H;
-        D.ProductionVerdict = Production;
-        D.ReferenceVerdict = Reference;
-        D.Detail = std::string("production says ") +
-                   (Production ? "consistent" : "inconsistent") +
-                   ", brute-force Def. 2.2 says " +
-                   (Reference ? "consistent" : "inconsistent");
-        Out.push_back(std::move(D));
-      }
+    if (Config.CrossCheckVerdicts && Verdict != Reference) {
+      Disagreement D;
+      D.K = Disagreement::Kind::CheckerVerdictMismatch;
+      D.Level = Level;
+      D.Culprit = H;
+      D.ProductionVerdict = Verdict;
+      D.ReferenceVerdict = Reference;
+      D.Detail = std::string("production says ") +
+                 (Verdict ? "consistent" : "inconsistent") +
+                 ", brute-force Def. 2.2 says " +
+                 (Reference ? "consistent" : "inconsistent");
+      Out.push_back(std::move(D));
     }
     if (Config.ValidateWitnesses) {
       std::optional<std::vector<unsigned>> Order = findCommitOrder(H, Level);
@@ -394,14 +428,13 @@ void DifferentialOracle::checkOneHistory(
   // Comparing against the *mutated* verdict gives this leg the same
   // teeth: a mutation weakens Expected, the streaming side stays exact.
   if (Config.DiffStreaming && Stream && incrementalEligible(H)) {
-    for (IsolationLevel Level : Levels) {
+    for (auto [Level, Verdict] : Production) {
       if (!isPrefixClosedCausallyExtensible(Level) ||
           Level == IsolationLevel::Trivial)
         continue;
-      if (std::optional<Disagreement> D = diffStreaming(
-              H, LevelAssignment::uniform(Level),
-              mutatedIsConsistent(H, Level, Config.Mutation),
-              Config.StreamingWindows))
+      if (std::optional<Disagreement> D =
+              diffStreaming(H, LevelAssignment::uniform(Level), Verdict,
+                            Config.StreamingWindows))
         Out.push_back(std::move(*D));
     }
   }

@@ -19,12 +19,15 @@
 ///     the production checker of I (Cor. 6.2 plumbing).
 ///
 /// For a *history* (an explorer output or a raw generated history) it
-/// diffs, per isolation level, the production checker verdict
-/// (SaturationChecker / SnapshotIsolationChecker / SerializabilityChecker)
-/// against BruteForceChecker — the literal Def. 2.2 enumeration — and
-/// validates the commit-order certificate of consistency/Witness.h. It
-/// also serializes eligible histories to traces and re-checks them with
-/// the windowed StreamingChecker at several budgets (the streaming leg).
+/// checks that the production verdicts respect the level chain
+/// (accept(SER) ⊆ accept(SI) ⊆ … ⊆ accept(RC)), diffs them per level
+/// (SaturationChecker / SearchChecker) against BruteForceChecker — the
+/// literal Def. 2.2 enumeration — and validates the commit-order
+/// certificate of consistency/Witness.h. It also diffs the incremental
+/// ConstraintState and its swap-child rebuild (from base-consistent
+/// histories only, as in the engine) against bulk references, and
+/// re-checks eligible histories, serialized to traces, with the windowed
+/// StreamingChecker at several budgets (the streaming leg).
 ///
 /// CheckerMutation is a test-only hook that deliberately weakens an axiom
 /// of the production side; the mutation-smoke test asserts the fuzzer
@@ -43,6 +46,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace txdpor {
@@ -111,6 +115,10 @@ struct Disagreement {
     /// (ExplorerStats::DedupFpMismatches != 0) — the leg that guards the
     /// O(Δ) fingerprint maintenance of core/Dedup.h in optimized builds.
     CarriedFingerprintMismatch,
+    /// A stronger level accepts a history that a weaker level rejects
+    /// (production verdicts) — the leg needs no reference, so it also
+    /// covers histories too large for the brute-force cross-check.
+    LevelMonotonicityViolation,
   };
 
   Kind K = Kind::CheckerVerdictMismatch;
@@ -132,6 +140,14 @@ struct Disagreement {
 const char *disagreementKindName(Disagreement::Kind K);
 std::optional<Disagreement::Kind>
 disagreementKindByName(const std::string &Name);
+
+/// The level-monotonicity leg over one history: \p Verdicts holds the
+/// production verdict of \p H at each checked level. Returns the first
+/// pair in which a stronger level accepts and a weaker one rejects, or
+/// nullopt when the verdicts respect the strength chain.
+std::optional<Disagreement> checkLevelMonotonicity(
+    const History &H,
+    const std::vector<std::pair<IsolationLevel, bool>> &Verdicts);
 
 /// Knobs of one oracle instance.
 struct OracleConfig {

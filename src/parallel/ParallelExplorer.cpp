@@ -20,6 +20,10 @@
 
 using namespace txdpor;
 
+/// Frontier items the split phase produces per worker. A few per worker
+/// smooth out imbalanced subtrees; work stealing balances the rest.
+constexpr unsigned FrontierPerThread = 4;
+
 ParallelExplorer::ParallelExplorer(const Program &Prog,
                                    ExplorerConfig Config)
     : Engine(Prog, std::move(Config)) {}
@@ -81,36 +85,27 @@ ExplorerStats ParallelExplorer::run(const HistoryVisitor &VisitFn) {
 
   //===--------------------------------------------------------------------===
   // Phase 1 — split: breadth-first expansion until the frontier holds
-  // enough independent subtrees to feed every worker.
+  // FrontierPerThread independent subtrees per worker.
   //===--------------------------------------------------------------------===
 
-  const size_t Target =
-      static_cast<size_t>(Config.SplitFactor ? Config.SplitFactor : 1) *
-      NumThreads;
+  const size_t Target = size_t(FrontierPerThread) * NumThreads;
   TXDPOR_TRACE_SPAN_NAMED(SplitSpan, Parallel, SplitPhase, NumThreads);
   std::deque<WorkItem> Frontier;
   Frontier.push_back(Engine.initialItem());
-  std::vector<WorkItem> Ready; // Depth-capped items, excluded from splitting.
   std::vector<WorkItem> Children;
-  while (!Frontier.empty() && Frontier.size() + Ready.size() < Target) {
+  while (!Frontier.empty() && Frontier.size() < Target) {
     if (Engine.shouldStop(MainSink))
       break;
     WorkItem Item = std::move(Frontier.front());
     Frontier.pop_front();
-    if (Config.SplitDepth && Item.Depth >= Config.SplitDepth) {
-      Ready.push_back(std::move(Item));
-      continue;
-    }
     Children.clear();
     Engine.expandItem(std::move(Item), Children, MainSink);
     for (WorkItem &Child : Children)
       Frontier.push_back(std::move(Child));
   }
-  for (WorkItem &Item : Frontier)
-    Ready.push_back(std::move(Item));
-  SplitSpan.setArgs(Ready.size(), NumThreads);
+  SplitSpan.setArgs(Frontier.size(), NumThreads);
   SplitSpan.end();
-  MainSink.Stats.FrontierItems = Ready.size();
+  MainSink.Stats.FrontierItems = Frontier.size();
 
   //===--------------------------------------------------------------------===
   // Phase 2 — shard: deal the frontier round-robin onto per-worker deques.
@@ -120,11 +115,11 @@ ExplorerStats ParallelExplorer::run(const HistoryVisitor &VisitFn) {
   Queues.reserve(NumThreads);
   for (unsigned T = 0; T != NumThreads; ++T)
     Queues.push_back(std::make_unique<WorkQueue>());
-  for (size_t I = 0; I != Ready.size(); ++I)
-    Queues[I % NumThreads]->push(std::move(Ready[I]));
+  for (size_t I = 0; I != Frontier.size(); ++I)
+    Queues[I % NumThreads]->push(std::move(Frontier[I]));
 
   // Items enqueued or mid-expansion; zero means the forest is exhausted.
-  std::atomic<size_t> Pending{Ready.size()};
+  std::atomic<size_t> Pending{Frontier.size()};
 
   //===--------------------------------------------------------------------===
   // Phase 3 — expand: depth-first workers, owner-LIFO / thief-FIFO.

@@ -13,9 +13,9 @@
 /// algorithmic change:
 ///
 ///   1. **Split.** Run the engine breadth-first from the root until the
-///      frontier holds at least SplitFactor × Threads items (or the tree
-///      or SplitDepth is exhausted). This phase is sequential and visits
-///      each expanded node exactly once, like any other driver.
+///      frontier holds at least 4 × Threads items (or the tree is
+///      exhausted). This phase is sequential and visits each expanded
+///      node exactly once, like any other driver.
 ///   2. **Shard.** Deal the frontier round-robin onto one work-stealing
 ///      deque per worker (parallel/WorkQueue.h).
 ///   3. **Expand.** Each worker runs the sequential depth-first expansion

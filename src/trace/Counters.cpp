@@ -52,6 +52,8 @@ const char *txdpor::trace::counterName(Counter C) {
     return "stream_evictions";
   case Counter::StreamPeakWindow:
     return "stream_peak_window";
+  case Counter::FilterChecks:
+    return "filter_checks";
   }
   return "?";
 }

@@ -46,8 +46,9 @@ enum class Counter : uint8_t {
   StreamTxns,         ///< Trace transactions ingested by check-trace.
   StreamEvictions,    ///< Window transactions garbage-collected.
   StreamPeakWindow,   ///< High-water window size (maintained via bumpMax).
+  FilterChecks,       ///< explore-ce* Valid filter calls on end states.
 };
-constexpr unsigned NumCounters = 12;
+constexpr unsigned NumCounters = 13;
 
 /// Snake_case display name of \p C (the JSON key in dumps).
 const char *counterName(Counter C);

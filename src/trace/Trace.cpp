@@ -78,14 +78,19 @@ struct Registry {
   }
 };
 
-/// The calling thread's buffer, created and registered on first use.
+/// The calling thread's buffer, created and registered on first use. A
+/// thread registering while tracing is off (a parallel worker naming
+/// itself) gets no slots until the next start(): registered buffers are
+/// never freed, so untraced runs must not pin a full ring per worker.
 ThreadBuffer &localBuffer() {
   thread_local ThreadBuffer *TL = nullptr;
   if (!TL) {
     Registry &R = Registry::get();
     std::lock_guard<std::mutex> Lock(R.Mu);
+    bool Tracing = detail::EnabledMask.load(std::memory_order_relaxed) != 0;
     auto Buf = std::make_shared<ThreadBuffer>(
-        static_cast<uint32_t>(R.Buffers.size() + 1), R.Capacity);
+        static_cast<uint32_t>(R.Buffers.size() + 1),
+        Tracing ? R.Capacity : 0);
     R.Buffers.push_back(Buf);
     TL = Buf.get();
   }
@@ -171,6 +176,8 @@ const char *txdpor::trace::name(Name N) {
     return "pending";
   case Name::FuzzCase:
     return "fuzz_case";
+  case Name::ValidFilter:
+    return "valid_filter";
   }
   return "?";
 }

@@ -56,7 +56,7 @@ namespace trace {
 enum class Category : uint8_t {
   Explore,  ///< Engine expansion: expandItem, ValidWrites fan-out.
   Swap,     ///< Commit fan-out: reorderings, swap-child construction.
-  Check,    ///< Commit tests: bulk ConstraintState rebuilds, readsLatest.
+  Check,    ///< Commit tests: bulk rebuilds, readsLatest, Valid filter.
   Replay,   ///< Executor: incremental cursor replay after swaps.
   Parallel, ///< Parallel driver: split phase, workers, steals, idling.
   Fuzz,     ///< Differential fuzzer: per-case spans.
@@ -93,6 +93,7 @@ enum class Name : uint16_t {
   Steal,         ///< Instant: successful steal (arg0 = victim worker).
   Pending,       ///< Counter: global pending-item count at sample time.
   FuzzCase,      ///< One differential-fuzz case (arg0 = case index).
+  ValidFilter,   ///< explore-ce* Valid filter on an end state (arg0 = #txns).
 };
 
 /// Display string of \p N (the Chrome trace "name" field).

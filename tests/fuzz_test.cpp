@@ -330,6 +330,34 @@ TEST(FuzzOracleTest, DeterministicReports) {
     EXPECT_EQ(writeRepro(A.Repros[I]), writeRepro(B.Repros[I]));
 }
 
+TEST(FuzzOracleTest, MonotonicityLegFlagsStrongerAcceptingWhatWeakerRejects) {
+  // Fabricated verdicts: SER accepts what SI rejects, which no pair of
+  // correct checkers can produce (every serializable history is SI).
+  const History H = History::makeInitial(1);
+  using L = IsolationLevel;
+  std::optional<Disagreement> D = checkLevelMonotonicity(
+      H, {{L::ReadCommitted, true},
+          {L::CausalConsistency, true},
+          {L::SnapshotIsolation, false},
+          {L::Serializability, true}});
+  ASSERT_TRUE(D.has_value());
+  EXPECT_EQ(D->K, Disagreement::Kind::LevelMonotonicityViolation);
+  EXPECT_EQ(D->Level, L::Serializability);
+  EXPECT_EQ(D->Detail, "SER accepts but the weaker SI rejects");
+  ASSERT_TRUE(D->Culprit.has_value());
+  EXPECT_TRUE(D->Culprit->sameHistory(H));
+  EXPECT_STREQ(disagreementKindName(D->K), "level-monotonicity-violation");
+  EXPECT_EQ(disagreementKindByName("level-monotonicity-violation"), D->K);
+
+  // Accepted sets shrinking along the chain are fine, in any order.
+  EXPECT_FALSE(checkLevelMonotonicity(H, {{L::Serializability, false},
+                                          {L::ReadCommitted, true},
+                                          {L::SnapshotIsolation, false},
+                                          {L::CausalConsistency, true}}));
+  EXPECT_FALSE(checkLevelMonotonicity(
+      H, {{L::ReadAtomic, false}, {L::Serializability, false}}));
+}
+
 TEST(FuzzMutationSmokeTest, WeakenedCausalAxiomIsCaughtAndShrunk) {
   // The acceptance property: with the CC saturation axiom weakened to
   // RA's premise, a fixed-seed run finds the injected bug and emits a

@@ -270,9 +270,10 @@ TEST(StreamingEquivalenceTest, MatchesFullHistoryOnGeneratedTraces) {
       bool Expected = isConsistent(G.Full, Level);
       for (unsigned Window : {0u, 4u, 16u}) {
         StreamStatus S = streamTxns(G, Level, Window);
-        if (Window == 0)
+        if (Window == 0) {
           ASSERT_NE(S, StreamStatus::StaleRead)
               << "seed " << Seed << ": refusal without eviction";
+        }
         if (S == StreamStatus::StaleRead)
           continue;
         ASSERT_NE(S, StreamStatus::Malformed) << "seed " << Seed;

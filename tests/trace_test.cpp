@@ -20,8 +20,10 @@
 #include "trace/Trace.h"
 
 #include "support/Json.h"
+#include "support/MemoryProbe.h"
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 #include <thread>
 
@@ -203,6 +205,39 @@ TEST_F(TraceTest, ConcurrentEmittersWithLiveSnapshots) {
     if (TR.ThreadName.rfind("emitter-", 0) == 0)
       ++Named;
   EXPECT_EQ(Named, NumThreads);
+}
+
+TEST_F(TraceTest, UntracedThreadsPinNoRing) {
+  // Registered buffers are never freed, so a thread that names itself
+  // while tracing is off (every untraced parallel worker) must not
+  // allocate a full ring: 256 such threads would pin 768 MiB.
+  trace::stop();
+  const uint64_t Before = peakRssKb();
+  for (unsigned I = 0; I != 256; ++I)
+    std::thread([] { trace::setThreadName("untraced"); }).join();
+  EXPECT_LT(peakRssKb() - Before, 64u * 1024);
+}
+
+TEST_F(TraceTest, ThreadRegisteredWhileDisabledRecordsAfterStart) {
+  trace::stop();
+  std::atomic<int> Phase{0};
+  std::thread Late([&Phase] {
+    trace::setThreadName("late");
+    Phase = 1;
+    while (Phase != 2)
+      std::this_thread::yield();
+    TXDPOR_TRACE_INSTANT(Parallel, Steal, 7);
+  });
+  while (Phase != 1)
+    std::this_thread::yield();
+  trace::start(trace::AllCategories, /*CapacityPerThread=*/8);
+  Phase = 2;
+  Late.join();
+  trace::Snapshot Snap = trace::snapshot();
+  const trace::ThreadRecords &T = emitter(Snap);
+  EXPECT_EQ(T.ThreadName, "late");
+  ASSERT_EQ(T.Records.size(), 1u);
+  EXPECT_EQ(T.Records[0].Arg0, 7u);
 }
 
 TEST_F(TraceTest, ParseCategoriesSpecs) {

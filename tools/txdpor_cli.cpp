@@ -71,8 +71,6 @@ struct CliOptions {
   DedupMode Dedup = DedupMode::Off;
   int64_t BudgetMs = 30000;
   unsigned Threads = 1;
-  unsigned SplitFactor = 4;
-  unsigned SplitDepth = 0;
   bool PrintProgram = false;
   bool PrintHistories = false;
   bool PrintWitness = false;
@@ -199,10 +197,6 @@ void printUsage() {
       "  --threads N         worker threads for the exploration (default 1\n"
       "                      = sequential; the output history set is\n"
       "                      identical for every N)\n"
-      "  --split-factor K    parallel frontier target of K*threads subtrees\n"
-      "                      before workers start (default 4)\n"
-      "  --split-depth D     never split below depth D (default 0 =\n"
-      "                      unbounded)\n"
       "  --print-program     dump the generated program\n"
       "  --print-histories   dump every output history\n"
       "  --print-witness     dump the first classified violation\n"
@@ -472,12 +466,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Options) {
         return false;
     } else if (R.is("--threads")) {
       if (!R.unsignedValue(Options.Threads, /*Max=*/1024))
-        return false;
-    } else if (R.is("--split-factor")) {
-      if (!R.unsignedValue(Options.SplitFactor, /*Max=*/4096))
-        return false;
-    } else if (R.is("--split-depth")) {
-      if (!R.unsignedValue(Options.SplitDepth))
         return false;
     } else if (R.is("--print-program")) {
       if (!R.flag())
@@ -1255,8 +1243,6 @@ int main(int Argc, char **Argv) {
   Config.FilterLevel = Options.Filter;
   Config.TimeBudget = Deadline::afterMillis(Options.BudgetMs);
   Config.Threads = Options.Threads;
-  Config.SplitFactor = Options.SplitFactor;
-  Config.SplitDepth = Options.SplitDepth;
   Config.Dedup = Options.Dedup;
 
   std::vector<History> Violations;
