@@ -7,7 +7,6 @@
 
 #include "BenchCommon.h"
 
-#include "parallel/ParallelExplorer.h"
 #include "support/Json.h"
 
 #include <cstdlib>
@@ -42,14 +41,6 @@ AlgorithmSpec AlgorithmSpec::baselineDfs(IsolationLevel Level) {
   return Spec;
 }
 
-AlgorithmSpec AlgorithmSpec::exploreCEParallel(IsolationLevel Base,
-                                               unsigned Threads) {
-  AlgorithmSpec Spec = exploreCE(Base);
-  Spec.Name += "/t" + std::to_string(Threads);
-  Spec.Threads = Threads;
-  return Spec;
-}
-
 std::vector<AlgorithmSpec> txdpor::bench::fig14Algorithms() {
   using IL = IsolationLevel;
   return {
@@ -80,9 +71,7 @@ RunResult txdpor::bench::runAlgorithm(const Program &Prog,
     Config.BaseLevel = Algo.BaseLevel;
     Config.FilterLevel = Algo.FilterLevel;
     Config.TimeBudget = Deadline::afterMillis(BudgetMs);
-    Config.Threads = Algo.Threads;
-    Stats = Algo.Threads > 1 ? exploreProgramParallel(Prog, Config)
-                             : exploreProgram(Prog, Config);
+    Stats = exploreProgram(Prog, Config);
   }
   Result.Stats = Stats;
   return Result;

@@ -40,15 +40,11 @@ struct AlgorithmSpec {
   bool IsBaselineDfs = false;
   IsolationLevel BaseLevel = IsolationLevel::CausalConsistency;
   std::optional<IsolationLevel> FilterLevel;
-  /// Worker threads; > 1 routes through the parallel explorer.
-  unsigned Threads = 1;
 
   static AlgorithmSpec exploreCE(IsolationLevel Base);
   static AlgorithmSpec exploreCEStar(IsolationLevel Base,
                                      IsolationLevel Filter);
   static AlgorithmSpec baselineDfs(IsolationLevel Level);
-  static AlgorithmSpec exploreCEParallel(IsolationLevel Base,
-                                         unsigned Threads);
 };
 
 /// The Fig. 14 roster: CC, CC+SI, CC+SER, RA+CC, RC+CC, true+CC, DFS(CC).

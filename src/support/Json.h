@@ -8,7 +8,7 @@
 /// \file
 /// A small streaming JSON writer so the bench harnesses can dump their
 /// tables in a machine-readable form next to the human-readable ones
-/// (e.g. bench_parallel_scaling's BENCH_parallel.json) and future PRs can
+/// (e.g. bench_fuzz_throughput's BENCH_fuzz.json) and future PRs can
 /// track trajectories without scraping text tables — plus a matching
 /// minimal reader (JsonValue / parseJson) used by the trace tests to
 /// validate the Chrome trace-event dumps the tracing layer emits.

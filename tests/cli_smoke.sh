@@ -173,6 +173,17 @@ expect_exit 1 check-trace "$traces/malformed/unknown_session.jsonl"
 expect_exit 1 check-trace "$traces/malformed/unknown_writer.jsonl"
 expect_exit 1 check-trace "$traces/malformed/duplicate_commit.jsonl"
 
+# The trace verbs reject --levels pins past the declared session count,
+# like the explore verb; an in-range pin reaches the assignment line.
+expect_reject "names session S7" \
+  check-trace "$traces/clean_tiny.litmus" --levels S7=RC
+expect_reject "names session S9" gen-trace --sessions 2 --levels S9=RC
+if ! "$CLI" check-trace "$traces/clean_tiny.litmus" --levels S1=RC \
+    2>/dev/null | grep -q "assignment .*S1=RC"; then
+  echo "FAIL: check-trace --levels S1=RC lacks S1=RC in its assignment" >&2
+  failures=$((failures + 1))
+fi
+
 # gen-trace pipes into check-trace: clean stays clean under a small
 # window, an injected anomaly exits 2, and the --repro trace is itself
 # a valid check-trace input that reproduces the violation.

@@ -389,6 +389,22 @@ bool parseLevelsSpec(const std::string &Spec,
   return true;
 }
 
+/// Rejects --levels pins that name a session past \p Sessions; \p Owner
+/// says whose session count it is ("client", "trace").
+bool levelPinsInRange(
+    const std::vector<std::pair<unsigned, IsolationLevel>> &Pins,
+    unsigned Sessions, const char *Owner) {
+  for (const auto &Pin : Pins) {
+    if (Pin.first >= Sessions) {
+      std::cerr << "error: --levels names session S" << Pin.first
+                << " but the " << Owner << " has " << Sessions
+                << " sessions\n";
+      return false;
+    }
+  }
+  return true;
+}
+
 bool parseArgs(int Argc, char **Argv, CliOptions &Options) {
   OptionReader R(Argc, Argv);
   while (R.next()) {
@@ -825,8 +841,11 @@ int checkTraceMain(int Argc, char **Argv) {
               << Levels.str() << '\n';
     return 1;
   }
-  if (Reader.header().NumSessions)
+  if (Reader.header().NumSessions) {
+    if (!levelPinsInRange(LevelPins, *Reader.header().NumSessions, "trace"))
+      return 1;
     Levels = Levels.resolved(*Reader.header().NumSessions);
+  }
 
   StreamingOptions Opts;
   Opts.Levels = Levels;
@@ -1058,6 +1077,8 @@ int genTraceMain(int Argc, char **Argv) {
     std::cerr << "error: --sessions and --vars must be positive\n";
     return 1;
   }
+  if (!levelPinsInRange(LevelPins, Config.Sessions, "trace"))
+    return 1;
 
   std::ofstream FileOut;
   if (!OutFile.empty()) {
@@ -1120,15 +1141,8 @@ int main(int Argc, char **Argv) {
   if (!parseArgs(Argc, Argv, Options))
     return 1;
 
-  for (const auto &[Session, Level] : Options.Levels) {
-    (void)Level;
-    if (Session >= Options.Sessions) {
-      std::cerr << "error: --levels names session S" << Session
-                << " but the client has " << Options.Sessions
-                << " sessions\n";
-      return 1;
-    }
-  }
+  if (!levelPinsInRange(Options.Levels, Options.Sessions, "client"))
+    return 1;
   if ((!Options.Levels.empty() || Options.MixedWorkload) &&
       (Options.UseDfs || Options.Walks)) {
     std::cerr << "error: per-session levels need the swapping explorer "
