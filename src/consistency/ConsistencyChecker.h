@@ -14,8 +14,8 @@
 /// mirrors that split:
 ///
 ///   * SaturationChecker — RC / RA / CC, polynomial.
-///   * SearchChecker     — SI / SER, one memoized start/commit point
-///     search (SER commits every transaction at its start point).
+///   * SearchChecker     — SI / SER, one start/commit point search over
+///     session frontiers (SER commits every transaction at its start).
 ///   * BruteForceChecker — literal Def. 2.2 (enumerate commit orders,
 ///     evaluate axioms); test oracle only.
 ///
@@ -46,13 +46,6 @@ public:
   /// event hides writes (§2.2.1).
   virtual bool isConsistent(const History &H) const = 0;
 };
-
-/// The SI/SER search packs transaction sets into 64-bit masks, so it
-/// decides histories of at most this many transactions (the initial
-/// transaction included). Past the limit it aborts with a diagnostic in
-/// every build type: the masks would alias and the verdicts would be
-/// silently wrong.
-constexpr unsigned MaxSearchTxns = 64;
 
 /// Returns the production checker for \p Level (a shared singleton).
 const ConsistencyChecker &checkerFor(IsolationLevel Level);

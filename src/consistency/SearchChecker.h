@@ -21,10 +21,14 @@
 ///     overlap (Conflict / first-committer-wins).
 ///
 /// SER (Fig. 2d) is SI in which every transaction commits at its own
-/// start point, so SER ⊆ SI holds by construction. The search
-/// interleaves the points, memoizing failed states on (started-set,
-/// committed-set, last-committed-writer map); under SER the started set
-/// is the committed set and stays out of the key.
+/// start point, so SER ⊆ SI holds by construction. The search places the
+/// points in ascending block order and memoizes failed states on the
+/// session frontier: per session, its committed count (in so order) and
+/// whether its next transaction has started. A commit guard makes that a
+/// complete state: C(t) waits until every reader of a variable t writes,
+/// whose wr source is another committed transaction, has started, so a
+/// source has committed exactly when it is the last committed writer of
+/// the read's variable. No history is too large to decide.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -355,8 +355,6 @@ diffStreaming(const History &H, const LevelAssignment &Levels, bool Expected,
 void DifferentialOracle::checkOneHistory(
     const History &H, const std::vector<IsolationLevel> &Levels,
     std::vector<Disagreement> &Out, bool Stream) const {
-  if (H.numTxns() > MaxSearchTxns)
-    return; // Beyond the SI/SER search, let alone brute force.
   // Production verdicts, shared by the legs below. The monotonicity leg
   // needs no reference, so it runs before the brute-force size cut.
   std::vector<std::pair<IsolationLevel, bool>> Production;

@@ -17,8 +17,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "apps/Applications.h"
 #include "consistency/BruteForceChecker.h"
 #include "consistency/ConsistencyChecker.h"
+#include "consistency/Witness.h"
+#include "core/Explorer.h"
 #include "history/Prefix.h"
 
 #include "TestUtil.h"
@@ -247,23 +250,74 @@ History writerChain(unsigned Writers) {
   return B.build();
 }
 
-} // namespace
-
-// The SER and SI searches pack transaction sets into 64-bit masks. At the
-// limit they still decide; one transaction past it they must refuse in
-// every build type rather than alias mask bits into a wrong verdict.
-TEST(SearchLimitTest, SerializabilityRefusesPast64Txns) {
-  EXPECT_TRUE(isConsistent(writerChain(MaxSearchTxns - 1),
-                           IsolationLevel::Serializability));
-  EXPECT_DEATH(isConsistent(writerChain(MaxSearchTxns),
-                            IsolationLevel::Serializability),
-               "SER checker decides histories of at most 64 transactions");
+/// The writer chain of \p Writers, then two transactions in sessions 1
+/// and 2 that both read x from the chain's last writer and both write x:
+/// a lost update in the last two of Writers + 3 transactions.
+History lostUpdateAfterChain(unsigned Writers) {
+  History H = writerChain(Writers);
+  for (uint32_t S = 1; S != 3; ++S) {
+    unsigned T = H.beginTxn(uid(S, 0));
+    H.appendEvent(T, Event::makeRead(0));
+    H.setWriter(T, 1, uid(0, Writers - 1));
+    H.appendEvent(T, Event::makeWrite(0, 100 + S));
+    H.appendEvent(T, Event::makeCommit());
+  }
+  return H;
 }
 
-TEST(SearchLimitTest, SnapshotIsolationRefusesPast64Txns) {
-  EXPECT_TRUE(isConsistent(writerChain(MaxSearchTxns - 1),
-                           IsolationLevel::SnapshotIsolation));
-  EXPECT_DEATH(isConsistent(writerChain(MaxSearchTxns),
-                            IsolationLevel::SnapshotIsolation),
-               "SI checker decides histories of at most 64 transactions");
+/// The search sets no limit on the number of transactions: chains of 65
+/// and 130 decide, and a lost update past 64 transactions is caught.
+void expectDecidesPast64Txns(IsolationLevel Level) {
+  EXPECT_TRUE(isConsistent(writerChain(64), Level));
+  EXPECT_TRUE(isConsistent(writerChain(129), Level));
+  History Lost = lostUpdateAfterChain(62);
+  ASSERT_EQ(Lost.numTxns(), 65u);
+  EXPECT_FALSE(isConsistent(Lost, Level));
+  EXPECT_TRUE(isConsistent(Lost, IsolationLevel::CausalConsistency));
+}
+
+} // namespace
+
+TEST(SearchLimitTest, SerializabilityDecidesPast64Txns) {
+  expectDecidesPast64Txns(IsolationLevel::Serializability);
+}
+
+TEST(SearchLimitTest, SnapshotIsolationDecidesPast64Txns) {
+  expectDecidesPast64Txns(IsolationLevel::SnapshotIsolation);
+}
+
+// tpcc 8x8 has 65 transactions with the initial one. On its first CC end
+// states the levels stay ordered (SER ⇒ SI ⇒ CC) and every SI and SER
+// certificate validates.
+TEST(SearchLimitTest, Tpcc8x8EndStatesPast64Txns) {
+  ClientSpec Spec;
+  Spec.Sessions = 8;
+  Spec.TxnsPerSession = 8;
+  ExplorerConfig Config =
+      ExplorerConfig::exploreCE(IsolationLevel::CausalConsistency);
+  Config.MaxEndStates = 300;
+  unsigned EndStates = 0, SiAccepts = 0;
+  exploreProgram(makeClientProgram(AppKind::Tpcc, Spec), Config,
+                 [&](const History &H) {
+    ASSERT_EQ(H.numTxns(), 65u);
+    ++EndStates;
+    std::optional<std::vector<unsigned>> Si =
+        findCommitOrder(H, IsolationLevel::SnapshotIsolation);
+    std::optional<std::vector<unsigned>> Ser =
+        findCommitOrder(H, IsolationLevel::Serializability);
+    if (Ser) {
+      EXPECT_TRUE(Si.has_value()) << H.str();
+      EXPECT_TRUE(
+          validateCommitOrder(H, IsolationLevel::Serializability, *Ser));
+    }
+    if (Si) {
+      ++SiAccepts;
+      EXPECT_TRUE(isConsistent(H, IsolationLevel::CausalConsistency));
+      EXPECT_TRUE(
+          validateCommitOrder(H, IsolationLevel::SnapshotIsolation, *Si));
+    }
+  });
+  EXPECT_EQ(EndStates, 300u);
+  EXPECT_GT(SiAccepts, 0u);
+  EXPECT_LT(SiAccepts, EndStates);
 }

@@ -1171,21 +1171,6 @@ int main(int Argc, char **Argv) {
   Spec.MixedBase = Options.Base;
   Program P = makeClientProgram(Options.App, Spec);
   VarNameFn Names = P.varNameFn();
-  // The SER/SI searches decide at most MaxSearchTxns transactions, the
-  // initial one included: refuse up front instead of aborting mid-run.
-  for (const std::optional<IsolationLevel> &L :
-       {Options.Filter, Options.Classify})
-    if (L &&
-        (*L == IsolationLevel::SnapshotIsolation ||
-         *L == IsolationLevel::Serializability) &&
-        P.totalTxns() + 1 > MaxSearchTxns) {
-      std::cerr << "error: " << isolationLevelName(*L)
-                << " checking supports at most " << MaxSearchTxns - 1
-                << " program transactions; this program has "
-                << P.totalTxns() << '\n';
-      return 1;
-    }
-
   std::cout << "client: " << appName(Options.App) << " seed " << Options.Seed
             << ", " << Options.Sessions << " sessions x " << Options.Txns
             << " txns";
