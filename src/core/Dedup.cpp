@@ -189,324 +189,98 @@ DedupTable::DedupTable(const Program &Prog, const LevelAssignment &Levels)
   Salt1 = Salt.Hi;
 }
 
-namespace {
-
-/// The canonical name of \p U under permutation \p Pi (empty = identity).
-/// The initial transaction renames to itself, so a renamed uid can never
-/// alias it (InitSession is above every real session id).
-uint64_t renamedUid(const std::vector<uint32_t> &Pi, TxnUid U) {
-  if (U.isInit() || Pi.empty())
-    return U.packed();
-  assert(U.Session < Pi.size() && "item names an unknown session");
-  return (static_cast<uint64_t>(Pi[U.Session]) << 32) | U.Index;
-}
-
-} // namespace
-
-/// Position-bound contribution of one renamed occurrence: block position,
-/// hole slot and the canonical rank fill a structured key, avalanched per
-/// chain. Summed commutatively into the block's content chains.
-uint64_t mentionKey(unsigned BlockPos, uint32_t Slot, uint32_t Rank) {
-  return (static_cast<uint64_t>(BlockPos) << 40) |
-         (static_cast<uint64_t>(Slot & DedupFp::OwnerSlot) << 20) | Rank;
-}
-
-void DedupTable::refreshBlock(DedupFp &Fp, const History &H,
-                              unsigned I) const {
+uint64_t DedupTable::blockDigest(const History &H, unsigned I) const {
   const TransactionLog &Log = H.txn(I);
   TxnUid U = Log.uid();
-  DedupFp::BlockEntry &E = Fp.Blocks[I];
-  E.Session = U.isInit() ? TxnUid::InitSession : U.Session;
-  E.NumMentions = 0;
-  assert((U.isInit() || U.Session < NumSessions) &&
-         "history names an unknown session");
-  auto Mention = [&](uint32_t Slot, uint32_t Session) {
-    if (E.NumMentions < DedupFp::MaxMentions)
-      E.Mentions[E.NumMentions++] = {Slot, Session};
-    else
-      E.NumMentions = 0xff; // Overflow: refolds re-walk the log.
-  };
-  // π-invariant digest: block position, index within the session, events,
-  // and writers by (class, index) — renaming any session leaves it fixed,
-  // so the D0 colors built from these sums are renaming-invariant. The
-  // same walk folds the content chains (everything except renamed session
-  // names, whose position-bound holes become mentions), so a π move later
-  // refolds from the cache without touching the log.
   uint64_t D = hashCombine64(0x9e3779b97f4a7c15ULL, I);
   D = hashCombine64(D, U.isInit() ? ~0ull : static_cast<uint64_t>(U.Index));
   D = hashCombine64(D, Log.size());
-  Mix128 M(Salt0, Salt1);
-  M.add(I);
-  if (U.isInit()) {
-    M.add(U.packed());
-  } else {
-    M.add(U.Index);
-    Mention(DedupFp::OwnerSlot, U.Session);
-  }
-  M.add(Log.size());
-  uint64_t Mask = !U.isInit() && U.Session < 64 ? 1ull << U.Session : 0;
   for (uint32_t P = 0, Sz = static_cast<uint32_t>(Log.size()); P != Sz; ++P) {
     const Event &Ev = Log.event(P);
     D = hashCombine64(D, static_cast<uint64_t>(Ev.Kind));
     D = hashCombine64(D, Ev.Var);
     D = hashCombine64(D, static_cast<uint64_t>(Ev.Val));
-    M.add(static_cast<uint64_t>(Ev.Kind));
-    M.add(Ev.Var);
-    M.add(static_cast<uint64_t>(Ev.Val));
     if (std::optional<TxnUid> W = Log.writerOf(P)) {
       D = hashCombine64(D, classOf(W->Session));
       D = hashCombine64(D, W->Index);
-      if (W->isInit()) {
-        M.add(1);
-        M.add(W->packed());
-      } else {
-        M.add(2);
-        M.add(W->Index);
-        Mention(P, W->Session);
-        if (W->Session < 64)
-          Mask |= 1ull << W->Session;
-      }
-    } else {
-      M.add(0);
     }
   }
-  E.InvDig = D;
-  E.Mask = Mask;
-  Fingerprint F = M.done();
-  E.CntA = F.Lo;
-  E.CntB = F.Hi;
+  return D;
 }
 
-void DedupTable::refoldPiDigest(DedupFp &Fp, const History &H,
-                                unsigned I) const {
-  DedupFp::BlockEntry &E = Fp.Blocks[I];
-  if (E.NumMentions != 0xff) {
-    // Fast path: the content chains already bind everything π-invariant;
-    // fold each mention's (position, slot, rank) key per chain.
-    uint64_t A = E.CntA, B = E.CntB;
-    for (unsigned K = 0; K != E.NumMentions; ++K) {
-      const DedupFp::Mention &Mn = E.Mentions[K];
-      uint32_t Rank = Fp.Pi.empty() ? Mn.Session : Fp.Pi[Mn.Session];
-      uint64_t Key = mentionKey(I, Mn.Slot, Rank);
-      A += splitmix64(Key ^ Salt0 ^ 0x2545f4914f6cdd1dULL);
-      B += splitmix64(Key ^ Salt1 ^ 0x9e6c63d0873084c5ULL);
-    }
-    E.PiA = A;
-    E.PiB = B;
-    return;
-  }
-  // Overflowed mention list (> MaxMentions renamed occurrences): re-walk
-  // the log, folding the renamed occurrences exactly as the fast path
-  // would, so both paths agree bit-for-bit.
-  const TransactionLog &Log = H.txn(I);
-  TxnUid U = Log.uid();
-  uint64_t A = E.CntA, B = E.CntB;
-  auto Fold = [&](uint32_t Slot, uint32_t Session) {
-    uint32_t Rank = Fp.Pi.empty() ? Session : Fp.Pi[Session];
-    uint64_t Key = mentionKey(I, Slot, Rank);
-    A += splitmix64(Key ^ Salt0 ^ 0x2545f4914f6cdd1dULL);
-    B += splitmix64(Key ^ Salt1 ^ 0x9e6c63d0873084c5ULL);
-  };
-  if (!U.isInit())
-    Fold(DedupFp::OwnerSlot, U.Session);
-  for (uint32_t P = 0, Sz = static_cast<uint32_t>(Log.size()); P != Sz; ++P)
-    if (std::optional<TxnUid> W = Log.writerOf(P))
-      if (!W->isInit())
-        Fold(P, W->Session);
-  E.PiA = A;
-  E.PiB = B;
-}
-
-/// π-invariant digest of one cursor's content: the uid *index* plus the
-/// execution state. The session name composes in at fold time.
-void refreshCursorEntry(DedupFp::CursorEntry &E, const TxnCursor &Cur) {
-  Mix128 C(0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL);
-  C.add(static_cast<uint32_t>(E.Packed)); // uid index
-  C.add(Cur.NextInstr);
-  C.add(Cur.Finished ? 1 : 0);
-  C.add(Cur.Locals.size());
-  for (Value V : Cur.Locals)
-    C.add(static_cast<uint64_t>(V));
-  Fingerprint F = C.done();
-  E.InvA = F.Lo;
-  E.InvB = F.Hi;
-}
-
-void DedupTable::syncCursors(DedupFp &Fp, const CursorMap &Cursors) const {
-  auto IsDirty = [&](uint64_t K) {
-    for (uint64_t D : Fp.DirtyCursors)
-      if (D == K)
-        return true;
-    return false;
-  };
-  // Both sides iterate uid-packed ascending (the CursorMap is a key-sorted
-  // flat map) and cursors are never removed, so one merge walk suffices;
-  // new keys splice in at their sort position.
-  std::vector<DedupFp::CursorEntry> &Ents = Fp.CursorEnts;
-  size_t J = 0;
-  for (const auto &Entry : Cursors) {
-    uint64_t K = Entry.first;
-    assert((J == Ents.size() || Ents[J].Packed >= K) &&
-           "carried cursor entry for a vanished cursor");
-    if (J == Ents.size() || Ents[J].Packed != K) {
-      Ents.insert(Ents.begin() + J, DedupFp::CursorEntry{K, 0, 0});
-      refreshCursorEntry(Ents[J], Entry.second);
-    } else if (IsDirty(K)) {
-      refreshCursorEntry(Ents[J], Entry.second);
-    }
-    ++J;
-  }
-  assert(Ents.size() == Cursors.size() && "carried entry per cursor");
-  Fp.DirtyCursors.clear();
-}
-
-Fingerprint DedupTable::itemFingerprint(const History &H,
-                                        const CursorMap &Cursors,
-                                        DedupFp *Carried) const {
-  DedupFp Local;
-  DedupFp &Fp = Carried ? *Carried : Local;
+Fingerprint DedupTable::fingerprint(const History &H) const {
   unsigned N = H.numTxns();
 
-  // Refresh the π-invariant layer: everything when the carried state is
-  // invalid (swap children, first probe, >64-session fallback), only the
-  // dirty blocks otherwise. ReadPairs are engine-maintained on the
-  // carried path and re-derived from H on the rebuild path.
-  bool Rebuild = !Fp.Valid || NumSessions > 64 || Fp.Blocks.size() != N;
-  if (Rebuild) {
-    Fp.Blocks.assign(N, DedupFp::BlockEntry());
-    Fp.Pi.clear();
-    Fp.ReadPairs.clear();
-    for (unsigned I = 0; I != N; ++I) {
-      refreshBlock(Fp, H, I);
-      const TransactionLog &Log = H.txn(I);
-      if (!Log.uid().isInit())
-        for (uint32_t P = 0, Sz = static_cast<uint32_t>(Log.size()); P != Sz;
-             ++P)
-          if (std::optional<TxnUid> W = Log.writerOf(P))
-            if (!W->isInit())
-              Fp.ReadPairs.emplace_back(Log.uid().Session, W->Session);
-    }
-    Fp.CursorEnts.clear();
-    Fp.CursorEnts.reserve(Cursors.size());
-    for (const auto &Entry : Cursors) {
-      Fp.CursorEnts.push_back({Entry.first, 0, 0});
-      refreshCursorEntry(Fp.CursorEnts.back(), Entry.second);
-    }
-    Fp.DirtyCursors.clear();
-  } else {
-    assert(Fp.Blocks.size() == N && "carried entry per block");
-    for (unsigned I = 0; I != N; ++I)
-      if (Fp.Blocks[I].Dirty)
-        refreshBlock(Fp, H, I);
-    if (!Fp.DirtyCursors.empty() || Fp.CursorEnts.size() != Cursors.size())
-      syncCursors(Fp, Cursors);
-  }
-
-  // Canonical session permutation: sessions are renamed to their rank
-  // under a sort by (structural class, refined color, original id). The
-  // class blocks of the sort are a pure function of the program, so the
-  // composed difference between any two items' permutations stays
-  // *within* classes — fingerprint equality therefore certifies equality
-  // modulo a structural-class renaming, never across classes. ChangedMask
-  // collects the sessions whose rank moved since the carried state's last
-  // probe: only blocks touching those sessions need their π digests
-  // redone.
-  uint64_t ChangedMask = ~0ull;
-  if (NumSessions > 1) {
-    // Round 0 colors: the class plus the renaming-invariant digests of
-    // the session's blocks and cursors, summed commutatively so the
-    // per-block and per-cursor layers above are reusable as-is. The
-    // refinement scratch lives on the stack for the (mask-supported)
-    // ≤ 64-session fast path — this runs on every probe, so four heap
-    // allocations here were measurable.
-    uint64_t D0Stack[64], D1Stack[64];
-    uint32_t SortStack[64], PiStack[64];
-    std::vector<uint64_t> D0Heap, D1Heap;
-    std::vector<uint32_t> SortHeap, PiHeap;
-    uint64_t *D0 = D0Stack, *D1 = D1Stack;
-    uint32_t *Sorted = SortStack, *NewPi = PiStack;
-    if (NumSessions > 64) {
-      D0Heap.resize(NumSessions);
-      D1Heap.resize(NumSessions);
-      SortHeap.resize(NumSessions);
-      PiHeap.resize(NumSessions);
-      D0 = D0Heap.data();
-      D1 = D1Heap.data();
-      Sorted = SortHeap.data();
-      NewPi = PiHeap.data();
-    }
-    for (uint32_t S = 0; S != NumSessions; ++S)
-      D0[S] = hashCombine64(0x9159015a3070dd17ULL, ClassOf[S]);
-    for (const DedupFp::BlockEntry &E : Fp.Blocks)
-      if (E.Session != TxnUid::InitSession)
-        D0[E.Session] += splitmix64(E.InvDig);
-    for (const DedupFp::CursorEntry &E : Fp.CursorEnts) {
-      uint32_t S = static_cast<uint32_t>(E.Packed >> 32);
-      if (S == TxnUid::InitSession)
-        continue;
-      assert(S < NumSessions && "cursor names an unknown session");
-      D0[S] += splitmix64(E.InvA ^ 0x452821e638d01377ULL);
-    }
-    // Round 1: refine with the round-0 colors of each read's writer
-    // session, so same-class sessions distinguished only through whom
-    // they read from still sort apart.
-    for (uint32_t S = 0; S != NumSessions; ++S)
-      D1[S] = D0[S];
-    for (const auto &[Reader, Writer] : Fp.ReadPairs)
-      D1[Reader] += splitmix64(D0[Writer]);
-    std::iota(Sorted, Sorted + NumSessions, 0u);
-    std::sort(Sorted, Sorted + NumSessions, [&](uint32_t A, uint32_t B) {
-      if (ClassOf[A] != ClassOf[B])
-        return ClassOf[A] < ClassOf[B];
-      if (D1[A] != D1[B])
-        return D1[A] < D1[B];
-      return A < B;
-    });
-    for (uint32_t Rank = 0; Rank != NumSessions; ++Rank)
-      NewPi[Sorted[Rank]] = Rank;
-    if (NumSessions <= 64 && Fp.Pi.size() == NumSessions) {
-      ChangedMask = 0;
-      for (uint32_t S = 0; S != NumSessions; ++S)
-        if (NewPi[S] != Fp.Pi[S])
-          ChangedMask |= 1ull << S;
-    }
-    Fp.Pi.assign(NewPi, NewPi + NumSessions);
-  } else {
-    // A single session renames to itself: π never moves, so only dirty
-    // blocks need their digests redone.
-    ChangedMask = 0;
-    Fp.Pi.clear();
-  }
-
-  // Refresh the π-renamed layer and fold the commutative sums. Depth and
-  // ConstraintState are excluded: Depth is driver bookkeeping and the
-  // constraint state is a pure function of the history and the levels.
-  uint64_t SumA = 0, SumB = 0;
+  // Pass 1, the canonical session permutation π: sessions are renamed to
+  // their rank under a sort by (structural class, refined color, original
+  // id). Round-0 colors are the class plus the commutative sum of the
+  // session's renaming-invariant block digests; round 1 adds the round-0
+  // color of each read's writer session, so same-class sessions told apart
+  // only by whom they read from still sort apart. The class blocks of the
+  // sort are a pure function of the program, so π only ever permutes
+  // within a class — fingerprint equality certifies equality modulo a
+  // structural-class renaming, never across classes.
+  std::vector<uint64_t> D0(NumSessions);
+  for (uint32_t S = 0; S != NumSessions; ++S)
+    D0[S] = hashCombine64(0x9159015a3070dd17ULL, ClassOf[S]);
   for (unsigned I = 0; I != N; ++I) {
-    DedupFp::BlockEntry &E = Fp.Blocks[I];
-    if (E.Dirty || (E.Mask & ChangedMask))
-      refoldPiDigest(Fp, H, I);
-    E.Dirty = false;
-    SumA += E.PiA;
-    SumB += E.PiB;
+    TxnUid U = H.txn(I).uid();
+    assert((U.isInit() || U.Session < NumSessions) &&
+           "history names an unknown session");
+    if (!U.isInit())
+      D0[U.Session] += splitmix64(blockDigest(H, I));
   }
-  // Cursors fold as carried content digests composed with the renamed
-  // uid; the commutative sum makes their order irrelevant, so no renamed
-  // re-sort is needed. The content seeds differ from the block digests',
-  // so a cursor contribution can never alias a block contribution.
-  for (const DedupFp::CursorEntry &E : Fp.CursorEnts) {
-    TxnUid U{static_cast<uint32_t>(E.Packed >> 32),
-             static_cast<uint32_t>(E.Packed)};
-    uint64_t R = renamedUid(Fp.Pi, U);
-    SumA += splitmix64(E.InvA ^ hashCombine64(0xb5c0fbcfec4d3b2fULL, R));
-    SumB += splitmix64(E.InvB ^ hashCombine64(0x3c6ef372fe94f82bULL, R));
+  std::vector<uint64_t> D1 = D0;
+  for (unsigned I = 0; I != N; ++I) {
+    const TransactionLog &Log = H.txn(I);
+    if (Log.uid().isInit())
+      continue;
+    for (uint32_t P = 0, Sz = static_cast<uint32_t>(Log.size()); P != Sz; ++P)
+      if (std::optional<TxnUid> W = Log.writerOf(P))
+        if (!W->isInit())
+          D1[Log.uid().Session] += splitmix64(D0[W->Session]);
   }
-  Fp.Valid = true;
+  std::vector<uint32_t> Sorted(NumSessions);
+  std::iota(Sorted.begin(), Sorted.end(), 0u);
+  std::sort(Sorted.begin(), Sorted.end(), [&](uint32_t A, uint32_t B) {
+    if (ClassOf[A] != ClassOf[B])
+      return ClassOf[A] < ClassOf[B];
+    if (D1[A] != D1[B])
+      return D1[A] < D1[B];
+    return A < B;
+  });
+  std::vector<uint32_t> Pi(NumSessions);
+  for (uint32_t Rank = 0; Rank != NumSessions; ++Rank)
+    Pi[Sorted[Rank]] = Rank;
 
-  Mix128 Head(Salt0, Salt1);
-  Head.add(N);
-  Head.add(Cursors.size());
-  return {splitmix64(Head.A + SumA), splitmix64(Head.B + SumB)};
+  // Pass 2: one order-sensitive chain over the blocks in block order, with
+  // every uid renamed by π. The initial transaction renames to itself, so
+  // a renamed uid can never alias it (InitSession is above every real
+  // session id).
+  auto Renamed = [&](TxnUid U) {
+    return U.isInit() ? U.packed()
+                      : (static_cast<uint64_t>(Pi[U.Session]) << 32) | U.Index;
+  };
+  Mix128 M(Salt0, Salt1);
+  M.add(N);
+  for (unsigned I = 0; I != N; ++I) {
+    const TransactionLog &Log = H.txn(I);
+    M.add(Renamed(Log.uid()));
+    M.add(Log.size());
+    for (uint32_t P = 0, Sz = static_cast<uint32_t>(Log.size()); P != Sz; ++P) {
+      const Event &Ev = Log.event(P);
+      M.add(static_cast<uint64_t>(Ev.Kind));
+      M.add(Ev.Var);
+      M.add(static_cast<uint64_t>(Ev.Val));
+      if (std::optional<TxnUid> W = Log.writerOf(P)) {
+        M.add(1);
+        M.add(Renamed(*W));
+      } else {
+        M.add(0);
+      }
+    }
+  }
+  return M.done();
 }
 
 bool DedupTable::insertIfNew(const Fingerprint &F) const {

@@ -7,9 +7,9 @@
 ///
 /// \file
 /// Unfolding-style subtree deduplication: a canonical fingerprint of a
-/// WorkItem (history structure + cursor snapshot + base levels), memoized
-/// in a sharded table so isomorphic subtrees are expanded once. Modeled on
-/// POR-SE's event-structure unfolding (canonical configuration
+/// WorkItem (its history under the table's program and base levels),
+/// memoized in a sharded table so isomorphic subtrees are expanded once.
+/// Modeled on POR-SE's event-structure unfolding (canonical configuration
 /// fingerprints in a shared table); adapted here to the transactional
 /// exploration tree, where the symmetry worth exploiting is *session
 /// renaming* in programs with structurally identical sessions.
@@ -30,7 +30,16 @@
 /// Without renaming the table would be pure overhead: strong optimality
 /// (Thm. 5.1) means explore-ce never reaches the same item twice, so only
 /// renamed repeats can ever hit (tests/dedup_test.cpp checks that no
-/// ordered history is visited twice).
+/// ordered history is visited twice). A renamed repeat first appears at a
+/// read-branch child (§5.1) or a swap child (§5.2) — every other item is a
+/// deterministic extension of its parent — so the engine probes only the
+/// items whose pending transaction ends in an external read.
+///
+/// Only the history is hashed. The cursor snapshot is a pure function of
+/// it (semantics/Executor.h: replay is a pure function of a transaction's
+/// log and its read values; tests/dedup_test.cpp checks the engine's
+/// carried cursors against a full replay at every item), so two items
+/// with renaming-equal histories have renaming-equal cursors.
 ///
 /// The table is internally synchronized (sharded mutexes) and its probe
 /// entry points are const, so the one engine instance shared by the
@@ -44,13 +53,11 @@
 #include "consistency/IsolationLevel.h"
 #include "history/History.h"
 #include "program/Program.h"
-#include "semantics/Executor.h"
 
 #include <array>
 #include <cstdint>
 #include <mutex>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 namespace txdpor {
@@ -80,109 +87,6 @@ struct FingerprintHash {
 /// collisions (asserted over fuzz corpora in tests/dedup_test.cpp).
 Fingerprint historyFingerprint(const History &H);
 
-/// Incrementally carried fingerprint state of one WorkItem, updated O(Δ)
-/// as the engine extends the item and consumed by
-/// DedupTable::itemFingerprint. The final fingerprint is a commutative
-/// sum of *finalized per-block digests* (each binding its block index),
-/// so appending an event dirties exactly one block instead of
-/// invalidating an order-sensitive chain over the whole item.
-///
-/// The engine maintains per item: a new block on begin (noteNewBlock),
-/// a dirty bit per mutated block (markDirty), and the (reader, writer)
-/// session pair of every non-init external read (noteReadPair — the
-/// color-refinement edges). Swap children start from a default-constructed
-/// (invalid) value: the next probe falls back to the full from-scratch
-/// walk, which is also the always-correct reference the engine
-/// cross-asserts against in debug builds.
-struct DedupFp {
-  /// One renamed-session occurrence inside a block's digest: the block
-  /// content chain folds everything π-invariant (event payloads, uid
-  /// *indices*, init uids) and leaves a position-bound hole per session
-  /// name; a mention records which session fills which hole. A π move
-  /// then refolds O(mentions) instead of re-walking the transaction log.
-  struct Mention {
-    uint32_t Slot;    ///< Event position; OwnerSlot = the block's own uid.
-    uint32_t Session; ///< Non-init session renamed into the hole.
-  };
-  static constexpr uint32_t OwnerSlot = 0xfffffu;
-  static constexpr unsigned MaxMentions = 8;
-
-  struct BlockEntry {
-    uint64_t InvDig = 0; ///< π-invariant digest (feeds the D0 colors).
-    uint64_t CntA = 0;   ///< Finalized π-invariant content chain, chain A.
-    uint64_t CntB = 0;   ///< Finalized π-invariant content chain, chain B.
-    uint64_t PiA = 0;    ///< CntA + mention sum under the current π.
-    uint64_t PiB = 0;    ///< CntB + mention sum under the current π.
-    /// Sessions whose renaming this block's PiA/PiB depend on (owner +
-    /// non-init writer sessions); a probe recomputes the π digests only
-    /// for blocks whose mask intersects the sessions π moved.
-    uint64_t Mask = 0;
-    uint32_t Session = 0; ///< Owning session (TxnUid::InitSession for init).
-    bool Dirty = true;    ///< Content changed since the last probe.
-    /// 0xff = more than MaxMentions renamed occurrences: the (rare)
-    /// refold of such a block re-walks the log instead.
-    uint8_t NumMentions = 0;
-    Mention Mentions[MaxMentions];
-  };
-
-  /// Carried π-invariant digest of one cursor, keyed and sorted exactly
-  /// like the CursorMap (uid-packed ascending); the probe composes it
-  /// with the renamed uid, so neither content hashing nor renaming needs
-  /// the TxnCursor itself.
-  struct CursorEntry {
-    uint64_t Packed = 0; ///< TxnUid::packed() of the cursor's transaction.
-    uint64_t InvA = 0;   ///< Content digest (index, pc, locals), chain A.
-    uint64_t InvB = 0;   ///< Content digest, chain B.
-  };
-
-  /// False until the first probe (and always for swap children): the next
-  /// probe rebuilds every entry from the history.
-  bool Valid = false;
-  std::vector<BlockEntry> Blocks;
-  /// Cursor digests mirroring the item's CursorMap (same sort order; the
-  /// map only ever grows). Entries are refreshed when the engine noted
-  /// the cursor dirty or when the map grew.
-  std::vector<CursorEntry> CursorEnts;
-  /// Packed uids whose cursor mutated since the last probe (the engine
-  /// notes exactly one per extension child).
-  std::vector<uint64_t> DirtyCursors;
-  /// Session permutation chosen by the last probe (empty = identity);
-  /// diffed against the new permutation to find moved sessions.
-  std::vector<uint32_t> Pi;
-  /// (reader session, writer session) of every non-init external read, in
-  /// append order (consumed commutatively).
-  std::vector<std::pair<uint32_t, uint32_t>> ReadPairs;
-
-  /// Marks block \p Idx as changed (event appended, writer assigned).
-  /// No-op while invalid — the next probe rebuilds everything anyway.
-  void markDirty(unsigned Idx) {
-    if (Valid && Idx < Blocks.size())
-      Blocks[Idx].Dirty = true;
-  }
-
-  /// Registers the begin of a transaction of \p Session as a new (dirty)
-  /// trailing block.
-  void noteNewBlock(uint32_t Session) {
-    if (!Valid)
-      return;
-    Blocks.emplace_back();
-    Blocks.back().Session = Session;
-  }
-
-  /// Records the refinement edge of a non-init external read.
-  void noteReadPair(uint32_t ReaderSession, uint32_t WriterSession) {
-    if (Valid)
-      ReadPairs.emplace_back(ReaderSession, WriterSession);
-  }
-
-  /// Marks the cursor of \p Packed as changed (stepped, finished, or
-  /// freshly created). No-op while invalid.
-  void noteCursorDirty(uint64_t Packed) {
-    if (Valid)
-      DirtyCursors.push_back(Packed);
-  }
-};
-
 /// The memoized explored-fingerprint table of one exploration run: every
 /// fingerprint is kept until the run ends. Constructed by the
 /// ExplorationEngine when ExplorerConfig::Dedup is Symmetry; shared by
@@ -194,18 +98,11 @@ public:
   /// semantics) and separates structural session classes.
   DedupTable(const Program &Prog, const LevelAssignment &Levels);
 
-  /// The canonical fingerprint of one WorkItem (history + cursor
-  /// snapshot; Depth is exploration bookkeeping and CState is derived
-  /// from the history, so neither participates). When \p Carried is
-  /// non-null its maintained per-block and per-cursor digests make the
-  /// probe O(dirty blocks + dirty cursors + sessions + moved-session
-  /// mentions) instead of O(item); it is refreshed and left clean for the
-  /// item's children. A null (or invalid) carried
-  /// state takes the full from-scratch walk — both paths produce the
-  /// identical fingerprint (cross-asserted by the engine in debug builds
-  /// and by the DifferentialOracle's DiffDedup legs in release).
-  Fingerprint itemFingerprint(const History &H, const CursorMap &Cursors,
-                              DedupFp *Carried = nullptr) const;
+  /// The canonical fingerprint of a WorkItem, computed from its history
+  /// \p H alone: the cursor snapshot is a pure function of the history
+  /// (semantics/Executor.h), Depth is exploration bookkeeping and CState is
+  /// derived from the history, so none of them participates.
+  Fingerprint fingerprint(const History &H) const;
 
   /// Inserts \p F; returns true iff it was not already present (i.e. the
   /// subtree rooted at the fingerprinted item is new). Thread-safe.
@@ -216,20 +113,9 @@ private:
     return Session == TxnUid::InitSession ? InitClass : ClassOf[Session];
   }
 
-  /// Recomputes \p Fp.Blocks[I]'s π-invariant layer from \p H: the D0
-  /// digest, the content chains, the mention list and the involvement
-  /// mask.
-  void refreshBlock(DedupFp &Fp, const History &H, unsigned I) const;
-
-  /// Recomputes \p Fp.Blocks[I]'s PiA/PiB under \p Fp.Pi: an O(mentions)
-  /// refold of the cached content chains, falling back to a full log walk
-  /// for blocks whose mention list overflowed.
-  void refoldPiDigest(DedupFp &Fp, const History &H, unsigned I) const;
-
-  /// Brings \p Fp.CursorEnts back in sync with \p Cursors: inserts
-  /// entries for cursors the map gained and refreshes the ones the engine
-  /// noted dirty.
-  void syncCursors(DedupFp &Fp, const CursorMap &Cursors) const;
+  /// Renaming-invariant digest of block \p I: its position, uid index and
+  /// events, with writers by (class, index). Seeds the session colors.
+  uint64_t blockDigest(const History &H, unsigned I) const;
 
   static constexpr uint32_t InitClass = 0xffffffffu;
   static constexpr unsigned NumShards = 16;

@@ -30,6 +30,18 @@ LevelAssignment resolveBaseLevels(const ExplorerConfig &Config,
   return LevelAssignment::uniform(Config.BaseLevel);
 }
 
+/// True iff \p H has a pending transaction whose last event is an
+/// external read: exactly the read-branch children (§5.1) and the swap
+/// children (§5.2), whose swapped reader ends at the re-pointed read.
+bool endsInExternalRead(const History &H) {
+  std::optional<unsigned> Pending = H.pendingTxn();
+  if (!Pending)
+    return false;
+  const TransactionLog &Log = H.txn(*Pending);
+  // A pending log holds at least its begin event.
+  return Log.isExternalRead(static_cast<uint32_t>(Log.size()) - 1);
+}
+
 } // namespace
 
 ExplorationEngine::ExplorationEngine(const Program &Prog,
@@ -66,8 +78,7 @@ WorkItem ExplorationEngine::initialItem() const {
   // Reserve capacity for the whole program up front: every extension of
   // the carried state then works in place, without reallocation.
   ConstraintState State(H, BaseLevels, Prog.totalTxns() + 1);
-  return {std::move(H), CursorMap(), /*Depth=*/1, std::move(State),
-          DedupFp()};
+  return {std::move(H), CursorMap(), /*Depth=*/1, std::move(State)};
 }
 
 bool ExplorationEngine::shouldStop(ExplorationSink &S) const {
@@ -160,20 +171,17 @@ void ExplorationEngine::expandItem(WorkItem Item, std::vector<WorkItem> &Out,
     S.Stats.MaxDepth = Item.Depth;
   if (shouldStop(S))
     return;
-  if (Dedup) {
+  if (Dedup && endsInExternalRead(Item.H)) {
+    // Only read-branch and swap children are probed: their pending
+    // transaction ends in an external read. Every other item extends its
+    // parent by one begin, write, local read, commit or abort, and removing
+    // that last event commutes with session renaming. So if such an item
+    // were a renamed repeat of an earlier one, its parent would be a
+    // renamed repeat of the earlier item's parent — and so on up to the
+    // nearest probed ancestors, the second of which would already have
+    // been skipped.
     ++S.Stats.DedupChecks;
-    // The carried fingerprint state makes the probe O(dirty blocks);
-    // items that arrived with an invalid one (swap children, the root)
-    // fall back to the full walk inside and leave it valid for their
-    // children. Debug builds (and the DedupVerifyCarried oracle legs)
-    // re-derive the fingerprint from scratch and compare.
-    Fingerprint F = Dedup->itemFingerprint(Item.H, Item.Cursors, &Item.Fp);
-    if (Config.DedupVerifyCarried &&
-        F != Dedup->itemFingerprint(Item.H, Item.Cursors))
-      ++S.Stats.DedupFpMismatches;
-    assert(F == Dedup->itemFingerprint(Item.H, Item.Cursors) &&
-           "carried fingerprint drifted from the from-scratch fingerprint");
-    if (!Dedup->insertIfNew(F)) {
+    if (!Dedup->insertIfNew(Dedup->fingerprint(Item.H))) {
       // An item with this canonical fingerprint was already expanded;
       // its subtree's outputs are (a renaming of) ones already emitted.
       ++S.Stats.DedupSkips;
@@ -198,12 +206,10 @@ void ExplorationEngine::expandItem(WorkItem Item, std::vector<WorkItem> &Out,
     // the swap phase would be a no-op (§5.2).
     H.beginTxn(Next.Uid);
     CState.applyBegin(Next.Uid);
-    Item.Fp.noteNewBlock(Next.Uid.Session);
-    Item.Fp.noteCursorDirty(Next.Uid.packed());
     Cursors[Next.Uid.packed()] = TxnCursor::fresh(Prog.txn(Next.Uid));
     ++S.Stats.EventsAdded;
     Out.push_back({std::move(H), std::move(Cursors), Item.Depth + 1,
-                   std::move(CState), std::move(Item.Fp)});
+                   std::move(CState)});
     return;
   }
 
@@ -217,7 +223,6 @@ void ExplorationEngine::expandItem(WorkItem Item, std::vector<WorkItem> &Out,
     // assignment the new read's axiom instances use the *reading
     // session's* level, so weaker sessions admit more writers.
     H.appendEvent(Idx, Event::makeRead(Next.Op.Var));
-    Item.Fp.markDirty(Idx);
     ++S.Stats.EventsAdded;
     uint32_t Pos = static_cast<uint32_t>(H.txn(Idx).size()) - 1;
 
@@ -227,9 +232,8 @@ void ExplorationEngine::expandItem(WorkItem Item, std::vector<WorkItem> &Out,
       TxnCursor &Cur = Cursors[Next.Uid.packed()];
       Cur = Next.Advanced;
       applyRead(Code, Cur, H.readValue(Idx, Pos));
-      Item.Fp.noteCursorDirty(Next.Uid.packed());
       Out.push_back({std::move(H), std::move(Cursors), Item.Depth + 1,
-                     std::move(CState), std::move(Item.Fp)});
+                     std::move(CState)});
       return;
     }
 
@@ -275,18 +279,13 @@ void ExplorationEngine::expandItem(WorkItem Item, std::vector<WorkItem> &Out,
       Branch.setWriter(Idx, Pos, H.txn(W).uid());
       ConstraintState BranchState = CState;
       BranchState.applyExternalRead(W, Next.Op.Var);
-      DedupFp BranchFp = Item.Fp; // Idx is already marked dirty above.
-      if (Dedup && !H.txn(W).uid().isInit())
-        BranchFp.noteReadPair(Next.Uid.Session, H.txn(W).uid().Session);
-      BranchFp.noteCursorDirty(Next.Uid.packed());
       CursorMap BranchCursors = Cursors;
       TxnCursor &Cur = BranchCursors[Next.Uid.packed()];
       Cur = Next.Advanced;
       applyRead(Code, Cur, Branch.readValue(Idx, Pos));
       ++S.Stats.ReadBranches;
       Out.push_back({std::move(Branch), std::move(BranchCursors),
-                     Item.Depth + 1, std::move(BranchState),
-                     std::move(BranchFp)});
+                     Item.Depth + 1, std::move(BranchState)});
       // A read is never a commit: the swap phase would be a no-op.
     }
     return;
@@ -294,40 +293,34 @@ void ExplorationEngine::expandItem(WorkItem Item, std::vector<WorkItem> &Out,
 
   case DbOp::Kind::Write: {
     H.appendEvent(Idx, Event::makeWrite(Next.Op.Var, Next.Op.Val));
-    Item.Fp.markDirty(Idx);
     ++S.Stats.EventsAdded;
     // Causal extensibility (Thm. 3.4) guarantees writes never violate the
     // base level when the pending transaction is (so ∪ wr)+-maximal — the
     // carried state needs no update either: a write adds no edge, and its
     // visibility starts at the commit (§2.2.1).
     assert(Base.isConsistent(H) && "write extension broke consistency");
-    Item.Fp.noteCursorDirty(Next.Uid.packed());
     Cursors[Next.Uid.packed()] = Next.Advanced;
     applyWrite(Cursors[Next.Uid.packed()]);
     Out.push_back({std::move(H), std::move(Cursors), Item.Depth + 1,
-                   std::move(CState), std::move(Item.Fp)});
+                   std::move(CState)});
     return;
   }
 
   case DbOp::Kind::Abort: {
     H.appendEvent(Idx, Event::makeAbort());
     CState.applyAbort();
-    Item.Fp.markDirty(Idx);
-    Item.Fp.noteCursorDirty(Next.Uid.packed());
     ++S.Stats.EventsAdded;
     Cursors[Next.Uid.packed()] = Next.Advanced;
     applyFinish(Cursors[Next.Uid.packed()]);
     // Aborted transactions are never swap targets (§5.2, footnote 5).
     Out.push_back({std::move(H), std::move(Cursors), Item.Depth + 1,
-                   std::move(CState), std::move(Item.Fp)});
+                   std::move(CState)});
     return;
   }
 
   case DbOp::Kind::Commit: {
     H.appendEvent(Idx, Event::makeCommit());
     CState.applyCommit(H.txn(Idx));
-    Item.Fp.markDirty(Idx);
-    Item.Fp.noteCursorDirty(Next.Uid.packed());
     ++S.Stats.EventsAdded;
     Cursors[Next.Uid.packed()] = Next.Advanced;
     applyFinish(Cursors[Next.Uid.packed()]);
@@ -386,15 +379,11 @@ void ExplorationEngine::expandItem(WorkItem Item, std::vector<WorkItem> &Out,
       trace::bump(trace::Counter::SwapChildrenBuilt);
       CursorMap SwapCursors =
           replayCursorsFrom(Prog, Swapped, Cursors, FirstChanged);
-      // The carried dedup fingerprint is deliberately left at its default
-      // (invalid): a swap truncates and drops blocks, so the child's
-      // first probe rebuilds from its history.
       SwapChildren.push_back({std::move(Swapped), std::move(SwapCursors),
-                              Item.Depth + 1, std::move(SwapState),
-                              DedupFp()});
+                              Item.Depth + 1, std::move(SwapState)});
     }
     Out.push_back({std::move(H), std::move(Cursors), Item.Depth + 1,
-                   std::move(CState), std::move(Item.Fp)});
+                   std::move(CState)});
     for (WorkItem &Child : SwapChildren)
       Out.push_back(std::move(Child));
     return;

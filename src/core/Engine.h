@@ -72,10 +72,6 @@ struct WorkItem {
   /// so ValidWrites probes candidate writers against it instead of
   /// rebuilding the constraint graph per candidate (§5.1).
   ConstraintState CState;
-  /// The carried dedup fingerprint state (core/Dedup.h), updated O(Δ) as
-  /// the engine extends the item; default (invalid) when dedup is off and
-  /// for swap children, whose next probe rebuilds it from the history.
-  DedupFp Fp;
 };
 
 /// Mutable per-walk (per-worker) state threaded through expandItem. The

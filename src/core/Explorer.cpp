@@ -46,7 +46,6 @@ void ExplorerStats::merge(const ExplorerStats &Other) {
   FrontierItems += Other.FrontierItems;
   DedupChecks += Other.DedupChecks;
   DedupSkips += Other.DedupSkips;
-  DedupFpMismatches += Other.DedupFpMismatches;
   TimedOut = TimedOut || Other.TimedOut;
   HitEndStateCap = HitEndStateCap || Other.HitEndStateCap;
   ElapsedMillis += Other.ElapsedMillis;

@@ -112,14 +112,6 @@ struct ExplorerConfig {
   /// sequential and parallel drivers. See core/Dedup.h.
   DedupMode Dedup = DedupMode::Off;
 
-  /// Release-mode cross-check of the carried fingerprint: re-derive every
-  /// probed fingerprint from scratch and count disagreements into
-  /// ExplorerStats::DedupFpMismatches instead of skipping silently wrong.
-  /// Debug builds always assert this; the flag lets the
-  /// DifferentialOracle's DiffDedup legs verify it in optimized fuzzing
-  /// runs too.
-  bool DedupVerifyCarried = false;
-
   /// Returns the paper's name for this configuration, e.g. "CC",
   /// "CC + SER", "true + CC".
   std::string algorithmName() const;
@@ -169,13 +161,10 @@ struct ExplorerStats {
   uint64_t IdleParks = 0;
   uint64_t FrontierItems = 0;
   /// Subtree-dedup observability (zero when Dedup is Off): fingerprint
-  /// probes performed and subtrees skipped as already explored.
+  /// probes performed (at read-branch and swap children, the only items
+  /// where a skip can land) and subtrees skipped as already explored.
   uint64_t DedupChecks = 0;
   uint64_t DedupSkips = 0;
-  /// Carried-vs-scratch fingerprint disagreements seen under
-  /// ExplorerConfig::DedupVerifyCarried (must stay 0; counted rather than
-  /// asserted so optimized differential fuzzing can report them).
-  uint64_t DedupFpMismatches = 0;
   bool TimedOut = false;
   bool HitEndStateCap = false;
   double ElapsedMillis = 0;

@@ -88,8 +88,6 @@ const char *txdpor::fuzz::disagreementKindName(Disagreement::Kind K) {
     return "dedup-verdict-mismatch";
   case Disagreement::Kind::IncrementalSwapStateMismatch:
     return "incremental-swap-state-mismatch";
-  case Disagreement::Kind::CarriedFingerprintMismatch:
-    return "carried-fingerprint-mismatch";
   case Disagreement::Kind::LevelMonotonicityViolation:
     return "level-monotonicity-violation";
   }
@@ -108,7 +106,6 @@ txdpor::fuzz::disagreementKindByName(const std::string &Name) {
         Disagreement::Kind::StreamingVerdictMismatch,
         Disagreement::Kind::DedupVerdictMismatch,
         Disagreement::Kind::IncrementalSwapStateMismatch,
-        Disagreement::Kind::CarriedFingerprintMismatch,
         Disagreement::Kind::LevelMonotonicityViolation})
     if (Name == disagreementKindName(K))
       return K;
@@ -522,20 +519,9 @@ void DifferentialOracle::checkMixedSemantics(
   // soundness). Verdict-existence equality is exercised by the uniform
   // leg; here the set containment is the mixed-specific property.
   if (Config.DiffDedup) {
-    // DedupVerifyCarried mirrors the uniform leg: the carried-fingerprint
-    // maintenance must survive mixed bases too (different per-session
-    // levels shrink the structural classes it canonicalizes over).
     ExplorerConfig Sym = Seq;
     Sym.Dedup = DedupMode::Symmetry;
-    Sym.DedupVerifyCarried = true;
     EnumerationResult SymRes = enumerateHistories(P, Sym);
-    if (SymRes.Stats.DedupFpMismatches != 0)
-      Out.push_back(MakeDisagreement(
-          Disagreement::Kind::CarriedFingerprintMismatch,
-          "dedup=symmetry under mix(" + Resolved.str() + "): " +
-              std::to_string(SymRes.Stats.DedupFpMismatches) +
-              " carried fingerprints differ from the from-scratch "
-              "fingerprint"));
     auto SymKeys = keyMultiset(SymRes.Histories);
     for (const auto &[Key, N] : SymKeys) {
       auto It = RefKeys.find(Key);
@@ -763,26 +749,10 @@ std::vector<Disagreement> DifferentialOracle::checkProgram(
       // the same violation verdict at every swept level. Deliberately the
       // unmutated production checkers on both sides (mirroring the
       // incremental leg): this leg guards dedup itself, not the axioms.
-      // It runs with DedupVerifyCarried: every probe's O(Δ) carried
-      // fingerprint is re-derived from scratch and disagreements are
-      // counted — so this optimized fuzzing leg has the same teeth as the
-      // debug-build assert at the engine's probe site.
       ExplorerConfig Sym = Seq;
       Sym.Dedup = DedupMode::Symmetry;
-      Sym.DedupVerifyCarried = true;
-      EnumerationResult SymRes = enumerateHistories(P, Sym);
-      std::vector<History> SymHistories = std::move(SymRes.Histories);
-      if (SymRes.Stats.DedupFpMismatches != 0) {
-        Disagreement D;
-        D.K = Disagreement::Kind::CarriedFingerprintMismatch;
-        D.Level = Base;
-        D.Detail = "dedup=symmetry under " +
-                   std::string(isolationLevelName(Base)) + ": " +
-                   std::to_string(SymRes.Stats.DedupFpMismatches) +
-                   " carried fingerprints differ from the from-scratch "
-                   "fingerprint";
-        Out.push_back(std::move(D));
-      }
+      std::vector<History> SymHistories =
+          enumerateHistories(P, Sym).Histories;
       auto SymKeys = keyMultiset(SymHistories);
       bool Included = true;
       for (const auto &[Key, N] : SymKeys) {

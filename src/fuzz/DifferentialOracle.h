@@ -110,11 +110,6 @@ struct Disagreement {
     /// ConstraintState of the same swapped history — the leg that guards
     /// the engine's incremental fan-out rebuild.
     IncrementalSwapStateMismatch,
-    /// A dedup-enabled exploration run under DedupVerifyCarried observed
-    /// carried-fingerprint/from-scratch disagreements
-    /// (ExplorerStats::DedupFpMismatches != 0) — the leg that guards the
-    /// O(Δ) fingerprint maintenance of core/Dedup.h in optimized builds.
-    CarriedFingerprintMismatch,
     /// A stronger level accepts a history that a weaker level rejects
     /// (production verdicts) — the leg needs no reference, so it also
     /// covers histories too large for the brute-force cross-check.

@@ -310,6 +310,44 @@ TEST(IncrementalEquivalence, MidOrderPendingTruncationProbes) {
   }
 }
 
+TEST(IncrementalEquivalence, ProbePastSixtyFourForcedEdges) {
+  // One CC probe that collects more than 64 forced edges, so
+  // createsCycle leaves its 64-node bitmask search for the fallback. The
+  // pending reader T (session 0) has 64 committed writers of x before it
+  // in its own session and has read y from A; A and B write both x and y.
+  // Reading x from B forces every other causal writer of x (init, the 64
+  // session-0 writers and A) before B, and retroactively forces B before
+  // A: 67 edges whose only cycle, A → B → A, uses two of them.
+  LitmusBuilder Builder(2);
+  for (uint32_t I = 0; I != 64; ++I)
+    Builder.txn(0, I).w(X, static_cast<Value>(I + 1)).commit();
+  Builder.txn(1, 0).w(X, 100).w(Y, 100).commit();
+  Builder.txn(2, 0).w(X, 200).w(Y, 200).commit();
+  Builder.txn(0, 64).r(Y, uid(1, 0));
+  History H = Builder.build();
+  const unsigned A = 65, B = 66, T = 67;
+  ASSERT_TRUE(H.txn(T).isPending());
+
+  ConstraintState St(
+      H, LevelAssignment::uniform(IsolationLevel::CausalConsistency));
+  ASSERT_TRUE(St.consistent());
+  ASSERT_EQ(St.openTxn(), T);
+  SaturationChecker Scratch(IsolationLevel::CausalConsistency);
+  History Read = H;
+  Read.appendEvent(T, Event::makeRead(X));
+  const uint32_t Pos = static_cast<uint32_t>(Read.txn(T).size()) - 1;
+  for (unsigned W : H.committedWriters(X)) {
+    History Probe = Read;
+    Probe.setWriter(T, Pos, H.txn(W).uid());
+    EXPECT_EQ(St.readAdmits(W, X), Scratch.isConsistent(Probe))
+        << "writer " << W;
+  }
+  // Both answers of the fallback are reached: A's probe collects 65
+  // edges and no cycle, B's collects 67 and the two-edge cycle.
+  EXPECT_TRUE(St.readAdmits(A, X));
+  EXPECT_FALSE(St.readAdmits(B, X));
+}
+
 TEST(IncrementalEquivalence, StateCapacityGrowsWithinMaxTxns) {
   // A state sized for the whole program keeps extending in place across
   // the capacity the engine reserves (initialItem).
